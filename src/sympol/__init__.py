@@ -3,9 +3,8 @@
 Exact enumeration of isotropic Grassmannians and symplectic bases,
 the base subsets of each layer with their inexact-subset hierarchy,
 and reconstruction of a point map from any layer map that sends base
-subsets to base subsets.  A compiled kernel backend accelerates the
-row arithmetic when available; the pure Python backend is selected
-automatically otherwise and computes identical results.
+subsets to base subsets.  The row arithmetic runs on one pure Python
+kernel implementation, so BACKEND is always "pure".
 """
 
 from sympol._kernels import BACKEND

@@ -1,10 +1,12 @@
-"""Row reduction kernels over GF(p), pure Python backend.
+"""Row reduction kernels over GF(p).
 
-A matrix is a sequence of row sequences with entries in range(p).  All
-kernels return tuples of row tuples in reduced row echelon form: pivot
-entries are 1, pivot columns strictly increase, pivot columns are clear
-above and below, and zero rows are dropped.  The empty tuple () is the
-canonical form of the zero space.
+These pure Python functions are the package's only kernel
+implementation, so BACKEND is always "pure".  A matrix is a sequence of
+row sequences with entries in range(p).  All kernels return tuples of
+row tuples in reduced row echelon form: pivot entries are 1, pivot
+columns strictly increase, pivot columns are clear above and below, and
+zero rows are dropped.  The empty tuple () is the canonical form of the
+zero space.
 """
 
 BACKEND = "pure"

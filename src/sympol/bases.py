@@ -29,9 +29,7 @@ from sympol.errors import (
     SpaceMismatchError,
 )
 from sympol.linalg import normalize_point, vec_add, vec_scale
-from sympol.space import SymplecticSpace
-
-BASE_ENUMERATION_GRID = ((2, 2), (2, 3), (3, 2))
+from sympol.space import BASE_GRID, SymplecticSpace, bits
 
 
 class SymplecticBase:
@@ -147,7 +145,7 @@ def perturb_pair(base: SymplecticBase, i: int, j: int, c: int) -> SymplecticBase
     x_si, x_sj = base.points[sigma[i]], base.points[sigma[j]]
     w_i = space.omega(x_i, x_si)
     w_j = space.omega(x_j, x_sj)
-    inv = _kernels.pure.inverses(p)
+    inv = _kernels.inverses(p)
     lam = (-w_i * inv[(c * w_j) % p]) % p
     pts = list(base.points)
     pts[i] = normalize_point(vec_add(x_i, vec_scale(c, x_j, p), p), p)
@@ -303,17 +301,8 @@ def random_base(space: SymplecticSpace, seed) -> SymplecticBase:
 
 
 def _require_enumerable(space):
-    if (space.n, space.p) not in BASE_ENUMERATION_GRID:
-        raise FeasibilityError(
-            f"full base enumeration supported only for (n, p) in {BASE_ENUMERATION_GRID}"
-        )
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    if (space.n, space.p) not in BASE_GRID:
+        raise FeasibilityError(f"full base enumeration supported only for (n, p) in {BASE_GRID}")
 
 
 @lru_cache(maxsize=None)
@@ -338,9 +327,9 @@ def enumerate_all_bases(space: SymplecticSpace):
             out.append(SymplecticBase(space, points, standard_sigma(n)))
             return
         cand_a = orthoset >> min_a << min_a
-        for a in _bits(cand_a):
+        for a in bits(cand_a):
             above = full >> (a + 1) << (a + 1)
-            for b in _bits(orthoset & ~masks[a] & above):
+            for b in bits(orthoset & ~masks[a] & above):
                 rec(pairs + ((a, b),), orthoset & masks[a] & masks[b], a + 1)
 
     rec((), full, 0)

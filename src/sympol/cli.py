@@ -34,7 +34,6 @@ from sympol.errors import (
     SpaceMismatchError,
 )
 from sympol.grassmann import (
-    CLIQUE_GRID,
     adjacency_masks,
     default_cache_dir,
     grassmannian,
@@ -62,7 +61,7 @@ from sympol.serialize import (
     load_json,
     write_report_csv,
 )
-from sympol.space import SymplecticSpace
+from sympol.space import BASE_GRID, CLIQUE_GRID, ENUM_GRID, SymplecticSpace, bits
 from sympol.subsets import (
     BaseSubset,
     base_subset_size,
@@ -80,12 +79,6 @@ from sympol.subsets import (
     type1_members,
     type2_members,
 )
-
-# Grids are hard limits for exhaustive machinery, not suggestions: the
-# exactness oracle enumerates every symplectic base of the space.
-ENUM_GRID = ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3))
-ORACLE_GRID = ((2, 2), (2, 3), (3, 2))
-MAP_GRID = ((2, 2), (2, 3), (3, 2))
 
 
 class Suite:
@@ -215,7 +208,7 @@ def run_common_base(cfg, rng):
     "classification",
     "maximal inexact subsets: B(-i) for k < n-1 and, for k >= 1, "
     "R(i,j) = B(+i,+j) | B(+s(i),+s(j)) | B(-i,-s(j)) with s the partner involution",
-    grid=ORACLE_GRID,
+    grid=BASE_GRID,
 )
 def run_classification(cfg, rng):
     space = SymplecticSpace(cfg.n, cfg.p)
@@ -471,7 +464,7 @@ def run_inexact_certificate(cfg, rng):
                 witness,
             )
         )
-        if (cfg.n, cfg.p) in ORACLE_GRID:
+        if (cfg.n, cfg.p) in BASE_GRID:
             contradictions = sum(1 for coll in witnessed if is_exact(bs, coll))
             entries.append(
                 _entry(
@@ -524,11 +517,19 @@ def run_trichotomy(cfg, rng):
     return entries
 
 
+def _image_mask(mask, table):
+    """The bitmask of the table images of the indices set in mask."""
+    out = 0
+    for i in bits(mask):
+        out |= 1 << table[i]
+    return out
+
+
 @_suite(
     "adjacency-preservation",
     "a map induced by a collineation preserves adjacency, and ortho-adjacency below the top layer",
     randomized=True,
-    grid=MAP_GRID,
+    grid=BASE_GRID,
     default_trials=100,
 )
 def run_adjacency_preservation(cfg, rng):
@@ -551,26 +552,13 @@ def run_adjacency_preservation(cfg, rng):
             tb = induce(random_collineation(space, rng.getrandbits(64)), k).table
             if exhaustive:
                 for i in range(len(g)):
-                    mask = adj[i]
-                    moved = 0
-                    while mask:
-                        low = mask & -mask
-                        moved |= 1 << tb[low.bit_length() - 1]
-                        mask ^= low
                     pairs_checked += adj[i].bit_count()
-                    if moved != adj[tb[i]]:
+                    if _image_mask(adj[i], tb) != adj[tb[i]]:
                         adj_bad += 1
                         witness = witness or f"trial {t}, element {i}"
-                    if k < cfg.n - 1:
-                        mask = ortho[i]
-                        moved = 0
-                        while mask:
-                            low = mask & -mask
-                            moved |= 1 << tb[low.bit_length() - 1]
-                            mask ^= low
-                        if moved != ortho[tb[i]]:
-                            ortho_bad += 1
-                            witness = witness or f"trial {t}, element {i}"
+                    if k < cfg.n - 1 and _image_mask(ortho[i], tb) != ortho[tb[i]]:
+                        ortho_bad += 1
+                        witness = witness or f"trial {t}, element {i}"
             else:
                 for idxs in member_sets:
                     for a in range(len(idxs)):
@@ -597,7 +585,7 @@ def run_adjacency_preservation(cfg, rng):
     "preserves-base-subsets",
     "a map induced by a collineation sends every base subset to a base subset",
     randomized=True,
-    grid=MAP_GRID,
+    grid=BASE_GRID,
     default_trials=25,
 )
 def run_preserves_base_subsets(cfg, rng):
@@ -634,7 +622,7 @@ def run_preserves_base_subsets(cfg, rng):
     "a base-subset-preserving map transports maximal-inexact types, complements, "
     "exactness, and incidence with spans of k+2 base positions",
     randomized=True,
-    grid=MAP_GRID,
+    grid=BASE_GRID,
     default_trials=10,
 )
 def run_transport(cfg, rng):
@@ -679,7 +667,7 @@ def run_transport(cfg, rng):
     "round-trip",
     "reconstruct(induce(h, k)) returns h exactly and the rebuilt map induces back to the input",
     randomized=True,
-    grid=MAP_GRID,
+    grid=BASE_GRID,
     default_trials=100,
 )
 def run_round_trip(cfg, rng):
@@ -758,7 +746,7 @@ def _corrupting_swap(f, bs_indices, outside, rng, tries=200):
     "corrupted layer maps are rejected: base-subset preservation, adjacency "
     "transport, and reconstruction all fail with explicit witnesses",
     randomized=True,
-    grid=MAP_GRID,
+    grid=BASE_GRID,
     default_trials=5,
 )
 def run_negative_controls(cfg, rng):
@@ -974,8 +962,8 @@ def _epilog():
     lines = [
         "feasibility grids (hard-coded):",
         f"  enumeration and map plumbing   {ENUM_GRID}",
-        f"  exactness oracle               {ORACLE_GRID}",
-        f"  collineation suites            {MAP_GRID}",
+        f"  exactness oracle               {BASE_GRID}",
+        f"  collineation suites            {BASE_GRID}",
         f"  clique search                  {CLIQUE_GRID}",
         "",
         "verification suites:",

@@ -6,7 +6,8 @@ elements by index.  Enumeration works level by level: each isotropic
 subspace of rank j is extended by every point of its perp not already
 inside, and duplicates are removed by canonical form.  Results can be
 cached on disk keyed by (n, p, k); the larger grids are dominated by
-this enumeration.
+this enumeration.  A cached layer is checked structurally on load and
+rebuilt when the check fails.
 
 Two pdim-k subspaces are adjacent when their intersection has pdim
 k - 1 (for k = 0 this means being distinct), and ortho-adjacent when,
@@ -25,9 +26,7 @@ from sympol import _kernels
 from sympol.errors import DimensionError, FeasibilityError, SchemaError
 from sympol.linalg import Subspace
 from sympol.serialize import atomic_write_json, load_json
-from sympol.space import SymplecticSpace
-
-CLIQUE_GRID = ((2, 2), (3, 2))
+from sympol.space import CLIQUE_GRID, SymplecticSpace, bits
 
 
 class Grassmannian:
@@ -129,7 +128,40 @@ def _cache_path(cache_dir, space, k):
     return os.path.join(cache_dir, f"grassmannian-n{space.n}-p{space.p}-k{k}.json")
 
 
+def _is_canonical(rows, width, p):
+    """Whether rows are already in reduced row echelon form, read off the
+    entries without row reduction."""
+    pivots = []
+    for row in rows:
+        if len(row) != width or not all(0 <= x < p for x in row):
+            return False
+        c = next((i for i, x in enumerate(row) if x), None)
+        if c is None or row[c] != 1 or (pivots and c <= pivots[-1]):
+            return False
+        pivots.append(c)
+    return all(
+        not row[c] for i, row in enumerate(rows) for j, c in enumerate(pivots) if i != j
+    )
+
+
+def _valid_layer(space, k, members):
+    """Whether cached members can be G_k: the closed-form count, rows
+    strictly increasing (hence distinct), and each member k + 1 canonical
+    rows spanning a totally isotropic subspace."""
+    if len(members) != grassmannian_size(space.n, space.p, k):
+        return False
+    if any(a.rows >= b.rows for a, b in zip(members, members[1:])):
+        return False
+    return all(
+        len(s.rows) == k + 1
+        and _is_canonical(s.rows, space.dim, space.p)
+        and space.is_totally_isotropic(s)
+        for s in members
+    )
+
+
 def _load_cached(space, k, cache_dir):
+    """The cached G_k elements, or None when the file is absent or fails validation."""
     path = _cache_path(cache_dir, space, k)
     if not os.path.exists(path):
         return None
@@ -141,9 +173,9 @@ def _load_cached(space, k, cache_dir):
             Subspace(space.p, space.dim, tuple(tuple(int(x) for x in r) for r in rows))
             for rows in obj["elements"]
         ]
-    except (SchemaError, KeyError, TypeError, ValueError):
+    except (SchemaError, AttributeError, KeyError, TypeError, ValueError):
         return None
-    return elements
+    return elements if _valid_layer(space, k, elements) else None
 
 
 @lru_cache(maxsize=None)
@@ -277,12 +309,6 @@ def maximal_adjacency_cliques(space: SymplecticSpace, k, cache_dir=None):
     nverts = len(grassmannian(space, k, cache_dir=cache_dir))
     adj = adjacency_masks(space, k, cache_dir)[0]
     out = []
-
-    def bits(mask):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
 
     def expand(r, p_mask, x_mask):
         if not p_mask and not x_mask:

@@ -24,7 +24,7 @@ def normalize_point(vec, p):
         if x:
             if x == 1:
                 return tuple(vec)
-            inv = _kernels.pure.inverses(p)[x]
+            inv = _kernels.inverses(p)[x]
             return tuple((inv * a) % p for a in vec)
     raise ValueError("zero vector is not a projective point")
 
@@ -151,27 +151,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(p={self.p}, pdim={self.pdim}, rows={self.rows})"
-
-
-def canonicalize(p, ambient, vectors) -> Subspace:
-    """Spec name for Subspace.span."""
-    return Subspace.span(p, ambient, vectors)
-
-
-def intersect(s: Subspace, u: Subspace) -> Subspace:
-    return s.intersect(u)
-
-
-def span_sum(s: Subspace, u: Subspace) -> Subspace:
-    return s.plus(u)
-
-
-def contains(s: Subspace, vec) -> bool:
-    return s.contains_vector(vec)
-
-
-def enumerate_points(s: Subspace):
-    return s.points()
 
 
 def intersect_all(subspaces) -> Subspace:

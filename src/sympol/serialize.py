@@ -57,10 +57,6 @@ def _need(obj, key, kind, where):
     return val
 
 
-def space_header(space: SymplecticSpace):
-    return space.header()
-
-
 def parse_space(obj, where="space") -> SymplecticSpace:
     n = _need(obj, "n", int, where)
     p = _need(obj, "p", int, where)

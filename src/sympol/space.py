@@ -14,9 +14,26 @@ from functools import lru_cache
 
 from sympol import _kernels
 from sympol.errors import DimensionError, FeasibilityError
-from sympol.linalg import Subspace, normalize_point
+from sympol.linalg import Subspace
 
 SUPPORTED_PRIMES = (2, 3, 5)
+
+# Feasibility grids: hard limits for exhaustive machinery, not suggestions.
+# Grassmannian caches, collineations and map plumbing run on ENUM_GRID.
+# Enumerating every symplectic base is bounded by BASE_GRID, which
+# therefore also gates the exactness oracle and the collineation suites;
+# maximal clique search is bounded by CLIQUE_GRID.
+ENUM_GRID = ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3))
+BASE_GRID = ((2, 2), (2, 3), (3, 2))
+CLIQUE_GRID = ((2, 2), (3, 2))
+
+
+def bits(mask):
+    """Indices of the set bits of a nonnegative int, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class SymplecticSpace:
@@ -122,7 +139,3 @@ class SymplecticSpace:
 
     def __repr__(self):
         return f"SymplecticSpace(n={self.n}, p={self.p})"
-
-
-def normalize(space: SymplecticSpace, vec):
-    return normalize_point(vec, space.p)

@@ -15,7 +15,7 @@ from sympol.bases import SymplecticBase, enumerate_all_bases, perturb_pair
 from sympol.errors import DegenerateParameterError, DimensionError
 from sympol.grassmann import grassmannian
 from sympol.linalg import Subspace, extend_basis, intersect_all, solve_particular, vec_add, vec_scale
-from sympol.space import SymplecticSpace
+from sympol.space import SymplecticSpace, bits
 from sympol._kernels import nullspace
 
 
@@ -102,16 +102,6 @@ def incident_members(bs: BaseSubset, positions):
     """Members comparable with the span of the given positions."""
     outer = frozenset(positions)
     return frozenset(i for i in bs.index_sets if i <= outer or outer <= i)
-
-
-def incident_members_subspace(bs: BaseSubset, s: Subspace):
-    """Members containing or contained in an arbitrary subspace."""
-    hits = set()
-    for i in bs.index_sets:
-        m = bs.subspace(i)
-        if m.contains(s) or s.contains(m):
-            hits.add(i)
-    return frozenset(hits)
 
 
 def meet_at(collection, i):
@@ -346,13 +336,6 @@ def _collection_key(collection):
     return tuple(sorted(tuple(sorted(i)) for i in collection))
 
 
-def _mask_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def member_mask(bs: BaseSubset, collection, gr=None) -> int:
     """Bitmask of a collection in the Grassmannian index order."""
     if gr is None:
@@ -424,7 +407,7 @@ def maximal_inexact_oracle(bs: BaseSubset):
         if not any(mask | kept == kept for kept in keep):
             keep.append(mask)
     collections = (
-        frozenset(bs.index_set_of(gr.elements[b]) for b in _mask_bits(mask)) for mask in keep
+        frozenset(bs.index_set_of(gr.elements[b]) for b in bits(mask)) for mask in keep
     )
     return tuple(sorted(collections, key=_collection_key))
 

@@ -3,16 +3,14 @@ import random
 import pytest
 
 from sympol.bases import SymplecticBase
-from sympol.space import SymplecticSpace
-
-# The grid where every base of the space can be enumerated; the oracle
-# tests and all exhaustive cross-checks stay inside it.
-SMALL_GRID = ((2, 2), (2, 3), (3, 2))
+from sympol.space import BASE_GRID, SymplecticSpace
 
 _CRITERIA = {}
 
 
-@pytest.fixture(params=SMALL_GRID, ids=lambda np: f"n{np[0]}p{np[1]}")
+# The grid where every base of the space can be enumerated; the oracle
+# tests and all exhaustive cross-checks stay inside it.
+@pytest.fixture(params=BASE_GRID, ids=lambda np: f"n{np[0]}p{np[1]}")
 def small_space(request):
     return SymplecticSpace(*request.param)
 

@@ -34,7 +34,7 @@ from sympol.recon import (
     induce,
     reconstruct,
 )
-from sympol.space import SymplecticSpace
+from sympol.space import BASE_GRID, SymplecticSpace
 from sympol.subsets import (
     BaseSubset,
     base_subset_size,
@@ -51,7 +51,6 @@ from sympol.subsets import (
 )
 
 SIZE_GRID = ((2, 2), (2, 3), (3, 2), (3, 3))
-ORACLE_GRID = ((2, 2), (2, 3), (3, 2))
 
 
 @pytest.mark.criterion(1, "base subset sizes and recurrence")
@@ -107,7 +106,7 @@ def test_common_base_random_pairs(n, p):
 
 
 @pytest.mark.criterion(3, "maximal inexact classification vs oracle")
-@pytest.mark.parametrize("n,p", ORACLE_GRID)
+@pytest.mark.parametrize("n,p", BASE_GRID)
 def test_classification_matches_oracle(n, p):
     start = time.monotonic()
     sp = SymplecticSpace.standard(n, p)
@@ -199,7 +198,7 @@ def test_adjacency_two_layers_actual_degeneracy():
 
 
 @pytest.mark.criterion(6, "adjacency preservation by induced layer maps")
-@pytest.mark.parametrize("n,p", ORACLE_GRID)
+@pytest.mark.parametrize("n,p", BASE_GRID)
 def test_induced_maps_preserve_adjacency(n, p):
     sp = SymplecticSpace.standard(n, p)
     for k in range(n):
@@ -234,7 +233,7 @@ def test_induced_maps_preserve_adjacency(n, p):
 
 
 @pytest.mark.criterion(7, "reconstruction inverts induction")
-@pytest.mark.parametrize("n,p", ORACLE_GRID)
+@pytest.mark.parametrize("n,p", BASE_GRID)
 def test_reconstruction_round_trip(n, p):
     start = time.monotonic()
     sp = SymplecticSpace.standard(n, p)

@@ -203,3 +203,32 @@ def test_disk_cache_round_trip(tmp_path):
     assert [s.rows for s in reloaded] == [s.rows for s in g]
     with open(path, "rb") as fh:
         assert fh.read() == first
+
+
+
+def _truncate(sp, elements):
+    return elements[:-1]
+
+
+def _swap_in_non_isotropic(sp, elements):
+    # same count, canonical rows, sorted and distinct: only isotropy fails
+    stranger = next(s for s in all_subspaces(sp, 1) if not sp.is_totally_isotropic(s))
+    return sorted(elements[1:] + [[list(r) for r in stranger.rows]])
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_truncate, _swap_in_non_isotropic], ids=["truncated", "non-isotropic"]
+)
+def test_corrupt_disk_cache_is_rebuilt(tmp_path, corrupt):
+    sp = SymplecticSpace.standard(2, 3)
+    name = "grassmannian-n2-p3-k1.json"
+    good_dir, bad_dir = tmp_path / "good", tmp_path / "bad"
+    fresh = grassmannian(sp, 1, cache_dir=str(good_dir))
+    good = (good_dir / name).read_bytes()
+    obj = json.loads(good)
+    obj["elements"] = corrupt(sp, obj["elements"])
+    bad_dir.mkdir()
+    (bad_dir / name).write_text(json.dumps(obj))
+    loaded = grassmannian(sp, 1, cache_dir=str(bad_dir))
+    assert [s.rows for s in loaded] == [s.rows for s in fresh]
+    assert (bad_dir / name).read_bytes() == good
