@@ -15,6 +15,10 @@ in addition, each lies in the perp of the other.  The star of
 M in G_(k-1) consists of all members of G_k through M; total isotropy
 makes the [M, M-perp] interval condition automatic.  The top of N in
 G_(k+1) consists of all its pdim-k subspaces.
+
+through_masks records point-member incidence as one bitmask of G_k
+indices per point, so a member spanned by known points is found by
+ANDing their masks.
 """
 
 from __future__ import annotations
@@ -203,6 +207,23 @@ def grassmannian(space: SymplecticSpace, k, cache_dir=None, use_disk=True) -> Gr
     """G_k for the space, memoized; disk cache is keyed by (n, p, k)."""
     cd = (cache_dir or default_cache_dir()) if use_disk else None
     return _grassmannian_memo(space, k, cd)
+
+
+@lru_cache(maxsize=None)
+def through_masks(space: SymplecticSpace, k):
+    """Bitmask per point index of the G_k members through that point.
+
+    Bit m of entry pt is set when member m contains the point with index
+    pt in space.all_points(); built once per (n, p, k) from each
+    member's points, so later lookups need no row reduction.
+    """
+    index = space.point_index()
+    masks = [0] * len(index)
+    for m, s in enumerate(grassmannian(space, k).elements):
+        bit = 1 << m
+        for pt in s.points():
+            masks[index[pt]] |= bit
+    return tuple(masks)
 
 
 def grassmannian_size(n, p, k):

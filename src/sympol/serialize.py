@@ -44,6 +44,8 @@ def load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 

@@ -13,8 +13,16 @@ from math import comb
 
 from sympol.bases import SymplecticBase, enumerate_all_bases, perturb_pair
 from sympol.errors import DegenerateParameterError, DimensionError
-from sympol.grassmann import grassmannian
-from sympol.linalg import Subspace, extend_basis, intersect_all, solve_particular, vec_add, vec_scale
+from sympol.grassmann import grassmannian, through_masks
+from sympol.linalg import (
+    Subspace,
+    extend_basis,
+    intersect_all,
+    normalize_point,
+    solve_particular,
+    vec_add,
+    vec_scale,
+)
 from sympol.space import SymplecticSpace, bits
 from sympol._kernels import nullspace
 
@@ -24,8 +32,12 @@ def base_subset_size(n, k):
     return 2 ** (k + 1) * comb(n, k + 1)
 
 
+@lru_cache(maxsize=None)
 def admissible_index_sets(sigma, k):
-    """All (k+1)-subsets of base positions containing no partner pair."""
+    """All (k+1)-subsets of base positions containing no partner pair.
+
+    Memoized on the sigma tuple, which every enumerated base shares.
+    """
     d = len(sigma)
     out = []
     for combo in combinations(range(d), k + 1):
@@ -336,13 +348,36 @@ def _collection_key(collection):
     return tuple(sorted(tuple(sorted(i)) for i in collection))
 
 
-def member_mask(bs: BaseSubset, collection, gr=None) -> int:
+def member_bits(base: SymplecticBase, k, index_sets):
+    """The G_k member spanned by each index set, as a one-bit mask.
+
+    That span is the only member of G_k containing all k+1 of its base
+    points, so its bit is the AND of their through_masks entries.
+    """
+    space = base.space
+    through = through_masks(space, k)
+    index = space.point_index()
+    rows = [through[index[normalize_point(x, space.p)]] for x in base.points]
+    out = []
+    for positions in index_sets:
+        acc = -1
+        for i in positions:
+            acc &= rows[i]
+        if acc <= 0 or acc & (acc - 1):
+            raise RuntimeError(f"positions {sorted(positions)} span no single member of G_{k}")
+        out.append(acc)
+    return out
+
+
+def member_mask(bs: BaseSubset, collection) -> int:
     """Bitmask of a collection in the Grassmannian index order."""
-    if gr is None:
-        gr = grassmannian(bs.base.space, bs.k)
-    mask = 0
+    collection = tuple(collection)
     for index_set in collection:
-        mask |= 1 << gr.index_of(bs.subspace(index_set))
+        if index_set not in bs:
+            raise DimensionError(f"not a member index set: {sorted(index_set)}")
+    mask = 0
+    for bit in member_bits(bs.base, bs.k, collection):
+        mask |= bit
     return mask
 
 
@@ -351,15 +386,15 @@ def subset_universe(space: SymplecticSpace, k):
     """Bitmask of every base subset of the layer, one per symplectic base.
 
     Aligned with enumerate_all_bases, so the same feasibility grid
-    applies.
+    applies.  Each member's bit is the AND of the through_masks entries
+    of its base points (see member_bits), so no row reduction runs per
+    base.
     """
-    gr = grassmannian(space, k)
     masks = []
     for base in enumerate_all_bases(space):
-        bs = BaseSubset(base, k)
         mask = 0
-        for index_set in bs.index_sets:
-            mask |= 1 << gr.index_of(bs.subspace(index_set))
+        for bit in member_bits(base, k, admissible_index_sets(base.sigma, k)):
+            mask |= bit
         masks.append(mask)
     return tuple(masks)
 
@@ -371,8 +406,7 @@ def covering_bases(bs: BaseSubset, collection, limit=2):
     collection is inexact.
     """
     space = bs.base.space
-    gr = grassmannian(space, bs.k)
-    mask = member_mask(bs, collection, gr)
+    mask = member_mask(bs, collection)
     out = []
     for base, cover in zip(enumerate_all_bases(space), subset_universe(space, bs.k)):
         if mask | cover == cover:
@@ -396,7 +430,7 @@ def maximal_inexact_oracle(bs: BaseSubset):
     """
     space = bs.base.space
     gr = grassmannian(space, bs.k)
-    home = member_mask(bs, bs.index_sets, gr)
+    home = member_mask(bs, bs.index_sets)
     seen = set()
     for cover in subset_universe(space, bs.k):
         overlap = home & cover

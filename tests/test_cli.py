@@ -135,13 +135,16 @@ def test_induce_reconstruct_round_trip(run, tmp_path):
     assert certificate["k"] == 1
 
 
-def test_induce_rejects_bad_inputs(run, tmp_path):
+def test_induce_rejects_bad_inputs(run, tmp_path, capsys):
     h_path = tmp_path / "h.json"
     assert run("random-collineation", "--n", 2, "--p", 2, "--seed", "x", "--out", h_path) == 0
     assert run("induce", "--map", h_path, "--k", 4, "--out", tmp_path / "f.json") == 2
     trunc = tmp_path / "trunc.json"
     trunc.write_bytes(read_bytes(h_path)[:40])
     assert run("induce", "--map", trunc, "--k", 1, "--out", tmp_path / "f.json") == 2
+    missing = tmp_path / "no-such.json"
+    assert run("induce", "--map", missing, "--k", 1, "--out", tmp_path / "f.json") == 2
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_induce_rejects_non_symplectic_map(run, tmp_path, capsys):
@@ -181,10 +184,14 @@ def test_reconstruct_failure_writes_certificate(run, tmp_path):
     assert names
 
 
-def test_reconstruct_rejects_malformed_schema(run, tmp_path):
+def test_reconstruct_rejects_malformed_schema(run, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"source\": 3}\n")
     assert run("reconstruct", "--map", bad, "--out", tmp_path / "b.json") == 2
+    missing = tmp_path / "no-such.json"
+    assert run("reconstruct", "--map", missing, "--out", tmp_path / "b.json") == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_help_lists_feasibility(run, capsys):

@@ -19,11 +19,12 @@ from sympol.grassmann import (
     star,
     star_index_sets,
     star_table,
+    through_masks,
     top,
     top_index_sets,
 )
 from sympol.linalg import Subspace
-from sympol.space import SymplecticSpace
+from sympol.space import BASE_GRID, SymplecticSpace
 
 
 def layers(space):
@@ -45,6 +46,22 @@ def test_counts_match_brute_force():
         assert len(oracle) == len(grassmannian(sp, k))
         g = grassmannian(sp, k)
         assert all(g.index_of(s) is not None for s in oracle)
+
+
+@pytest.mark.parametrize("n,p", BASE_GRID + ((2, 5),))
+def test_through_masks_closed_forms(n, p, tmp_path, monkeypatch):
+    # the members through a point are G_(k-1) of the rank n - 1 quotient
+    # of its perp, and a pdim-k member holds (p^(k+1) - 1)/(p - 1) points
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(tmp_path))
+    sp = SymplecticSpace.standard(n, p)
+    for k in layers(sp):
+        through = through_masks(sp, k)
+        assert len(through) == len(sp.all_points())
+        per_point = grassmannian_size(n - 1, p, k - 1) if k else 1
+        assert all(mask.bit_count() == per_point for mask in through)
+        points_per_member = (p ** (k + 1) - 1) // (p - 1)
+        for m in range(len(grassmannian(sp, k))):
+            assert sum(mask >> m & 1 for mask in through) == points_per_member
 
 
 def test_point_layer_matches_space(small_space):

@@ -5,9 +5,10 @@ from math import comb
 
 import pytest
 
-from sympol.bases import SymplecticBase, is_symplectic_base, random_base
+from sympol.bases import SymplecticBase, enumerate_all_bases, is_symplectic_base, random_base
 from sympol.errors import DegenerateParameterError, DimensionError
 from sympol.grassmann import adjacent, grassmannian
+from sympol.linalg import Subspace, vec_scale
 from sympol.space import SymplecticSpace
 from sympol.subsets import (
     BaseSubset,
@@ -385,6 +386,53 @@ def test_subset_universe_alignment():
     bs = BaseSubset(SymplecticBase.standard(sp), 1)
     home = member_mask(bs, bs.index_sets)
     assert home in universe
+
+
+def span_route_mask(base, k):
+    """Base subset mask from row-reduced spans of base points (oracle)."""
+    sp = base.space
+    gr = grassmannian(sp, k)
+    mask = 0
+    for combo in combinations(range(sp.dim), k + 1):
+        if any(base.sigma[i] in combo for i in combo):
+            continue
+        span = Subspace.span(sp.p, sp.dim, [base.points[i] for i in combo])
+        mask |= 1 << gr.index_of(span)
+    return mask
+
+
+# every base at (2, 2) and (2, 3); a fixed stride of the 30,240 at (3, 2)
+@pytest.mark.parametrize("n,p,stride", ((2, 2, 1), (2, 3, 1), (3, 2, 7)))
+def test_subset_universe_matches_span_route(n, p, stride):
+    sp = SymplecticSpace.standard(n, p)
+    bases = enumerate_all_bases(sp)
+    for k in layers(sp):
+        universe = subset_universe(sp, k)
+        for i in range(0, len(bases), stride):
+            assert universe[i] == span_route_mask(bases[i], k)
+
+
+def test_member_mask_normalizes_base_points():
+    sp = SymplecticSpace.standard(2, 3)
+    base = random_base(sp, "scaled")
+    scaled = SymplecticBase(sp, [vec_scale(2, x, sp.p) for x in base.points], base.sigma)
+    for k in layers(sp):
+        bs = BaseSubset(base, k)
+        full = member_mask(bs, bs.index_sets)
+        assert full == span_route_mask(base, k)
+        assert member_mask(BaseSubset(scaled, k), bs.index_sets) == full
+        with pytest.raises(DimensionError):
+            member_mask(bs, [frozenset(range(k + 1)) | {sp.n}])
+
+
+def test_member_mask_rejects_a_false_pairing():
+    sp = SymplecticSpace.standard(2, 2)
+    std = SymplecticBase.standard(sp)
+    # positions 0 and 2 hold e_1 and f_1, which span no isotropic line
+    wrong = SymplecticBase(sp, std.points, (1, 0, 3, 2))
+    bs = BaseSubset(wrong, 1)
+    with pytest.raises(RuntimeError, match="no single member"):
+        member_mask(bs, [frozenset((0, 2))])
 
 
 @pytest.mark.parametrize("n,p", ((2, 2), (2, 3)))
