@@ -842,13 +842,13 @@ def cmd_enumerate(cfg):
     if cfg.k is not None and not 0 <= cfg.k < cfg.n:
         return _usage(f"k must lie in 0..{cfg.n - 1}")
     space = SymplecticSpace(cfg.n, cfg.p)
-    cache = cfg.cache or default_cache_dir()
+    cache = default_cache_dir()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "p", "k", "count", "closed_form"])
     status = 0
     for k in _layers(cfg):
-        g = grassmannian(space, k, cache_dir=cache)
+        g = grassmannian(space, k)
         formula = grassmannian_size(cfg.n, cfg.p, k)
         writer.writerow([cfg.n, cfg.p, k, len(g), formula])
         marker = "" if len(g) == formula else "  MISMATCH"
@@ -929,12 +929,12 @@ def cmd_induce(cfg):
 
 def cmd_reconstruct(cfg):
     try:
-        f = decode_grassmannian_map(load_json(cfg.map), cache_dir=cfg.cache)
+        f = decode_grassmannian_map(load_json(cfg.map))
     except (SchemaError, SpaceMismatchError, DimensionError, MapCheckError) as exc:
         return _usage(str(exc))
     cert_path = cfg.certificate or "certificate.json"
     try:
-        h, certificate = reconstruct(f, cache_dir=cfg.cache)
+        h, certificate = reconstruct(f)
     except ReconstructionError as exc:
         atomic_write_json(cert_path, exc.certificate)
         print(f"reconstruction failed: {exc}", file=sys.stderr)
@@ -1033,9 +1033,19 @@ def build_parser():
 
 def main(argv=None):
     cfg = build_parser().parse_args(argv)
-    if getattr(cfg, "cache", None):
-        os.environ["SYMPOL_CACHE_DIR"] = cfg.cache
-    return cfg.func(cfg)
+    cache = getattr(cfg, "cache", None)
+    if not cache:
+        return cfg.func(cfg)
+    # --cache sets SYMPOL_CACHE_DIR for this command only
+    previous = os.environ.get("SYMPOL_CACHE_DIR")
+    os.environ["SYMPOL_CACHE_DIR"] = cache
+    try:
+        return cfg.func(cfg)
+    finally:
+        if previous is None:
+            del os.environ["SYMPOL_CACHE_DIR"]
+        else:
+            os.environ["SYMPOL_CACHE_DIR"] = previous
 
 
 if __name__ == "__main__":

@@ -127,9 +127,6 @@ class Subspace:
             self._points = tuple(sorted(pts))
         return self._points
 
-    def sort_key(self):
-        return self.rows
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)

@@ -97,10 +97,10 @@ class GrassmannianMap:
         )
 
 
-def induce(h: PointMap, k, cache_dir=None) -> GrassmannianMap:
+def induce(h: PointMap, k) -> GrassmannianMap:
     """Layer map sending each member to the span of its points' images."""
-    source = grassmannian(h.source, k, cache_dir=cache_dir)
-    target = grassmannian(h.target, k, cache_dir=cache_dir)
+    source = grassmannian(h.source, k)
+    target = grassmannian(h.target, k)
     p = h.target.p
     d = h.target.dim
     table = []
@@ -262,7 +262,7 @@ def check_exactness_transport(f: GrassmannianMap, base: SymplecticBase, collecti
     return checked
 
 
-def descend(f: GrassmannianMap, cache_dir=None) -> GrassmannianMap:
+def descend(f: GrassmannianMap) -> GrassmannianMap:
     """Map one layer down by intersecting the images of each star.
 
     The images of all members through a fixed pdim k - 1 subspace have
@@ -274,9 +274,9 @@ def descend(f: GrassmannianMap, cache_dir=None) -> GrassmannianMap:
     if k < 1:
         raise DimensionError("already at the point layer")
     space = f.source.space
-    src_low = grassmannian(space, k - 1, cache_dir=cache_dir)
-    tgt_low = grassmannian(f.target.space, k - 1, cache_dir=cache_dir)
-    stars = star_table(space, k, cache_dir)
+    src_low = grassmannian(space, k - 1)
+    tgt_low = grassmannian(f.target.space, k - 1)
+    stars = star_table(space, k, None)
     table = []
     for mi in range(len(src_low)):
         images = [f.target.elements[f.table[si]] for si in stars[mi]]
@@ -321,7 +321,7 @@ def orthogonality_witness(h: PointMap):
     return None
 
 
-def reconstruct(f: GrassmannianMap, check_bases=(), cache_dir=None):
+def reconstruct(f: GrassmannianMap, check_bases=()):
     """Walk a layer map down to points and package the verified result.
 
     The standard base plus any bases in check_bases run through every
@@ -364,7 +364,7 @@ def reconstruct(f: GrassmannianMap, check_bases=(), cache_dir=None):
     while g.source.k > 0:
         level = g.source.k - 1
         try:
-            lower = descend(g, cache_dir=cache_dir)
+            lower = descend(g)
         except DescentError as exc:
             fail(level, "star-intersection-dimension", exc)
         passed(level, "star-intersections", len(lower.source))
@@ -397,7 +397,7 @@ def reconstruct(f: GrassmannianMap, check_bases=(), cache_dir=None):
         fail(0, "bases-to-bases", exc)
     passed(0, "bases-to-bases", len(bases))
     try:
-        back = induce(h, f.source.k, cache_dir=cache_dir)
+        back = induce(h, f.source.k)
     except MapCheckError as exc:
         fail(0, "induced-map-equality", exc)
     if back != f:

@@ -3,7 +3,8 @@
 All documents carry explicit field names and 0-based indices; canonical
 matrices are lists of row lists.  Writers are deterministic (sorted
 keys, fixed separators, trailing newline) so identical runs produce byte
-identical files.  Writes go through a temporary file and a rename.
+identical files.  Writes go through a temporary file and a rename, and
+the file gets the mode a plain open() would give it under the umask.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# mkstemp creates files at mode 0600, so written files are given the mode
+# open() would give them; the umask can only be read by setting it, so it
+# is read once here and put straight back
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
 def atomic_write_text(path, text):
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
@@ -29,6 +37,7 @@ def atomic_write_text(path, text):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -139,14 +148,14 @@ def encode_grassmannian_map(f):
     }
 
 
-def decode_grassmannian_map(obj, where="map", cache_dir=None):
+def decode_grassmannian_map(obj, where="map"):
     from sympol.grassmann import grassmannian
     from sympol.recon import GrassmannianMap
 
     src_obj = _need(obj, "source", dict, where)
     tgt_obj = _need(obj, "target", dict, where)
-    source = grassmannian(parse_space(src_obj, where + ".source"), _need(src_obj, "k", int, where), cache_dir=cache_dir)
-    target = grassmannian(parse_space(tgt_obj, where + ".target"), _need(tgt_obj, "k", int, where), cache_dir=cache_dir)
+    source = grassmannian(parse_space(src_obj, where + ".source"), _need(src_obj, "k", int, where))
+    target = grassmannian(parse_space(tgt_obj, where + ".target"), _need(tgt_obj, "k", int, where))
     entries = _need(obj, "table", list, where)
     table = [None] * len(source)
     seen = 0

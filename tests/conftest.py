@@ -8,6 +8,17 @@ from sympol.space import BASE_GRID, SymplecticSpace
 _CRITERIA = {}
 
 
+# Layers built by the tests are cached in one directory per session, never
+# in the user's default cache; one directory keeps one memo key per layer,
+# so tests share layers instead of rebuilding them.
+@pytest.fixture(scope="session", autouse=True)
+def session_cache_dir(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        path = tmp_path_factory.mktemp("sympol-cache")
+        mp.setenv("SYMPOL_CACHE_DIR", str(path))
+        yield path
+
+
 # The grid where every base of the space can be enumerated; the oracle
 # tests and all exhaustive cross-checks stay inside it.
 @pytest.fixture(params=BASE_GRID, ids=lambda np: f"n{np[0]}p{np[1]}")

@@ -209,3 +209,16 @@ def test_cache_flag_overrides_env(run, tmp_path, monkeypatch):
     out = tmp_path / "c.csv"
     assert run("enumerate", "--n", 2, "--p", 2, "--cache", special, "--out", out) == 0
     assert (special / "grassmannian-n2-p2-k0.json").exists()
+
+
+@pytest.mark.parametrize("before", ["set", "unset"])
+def test_cache_flag_is_scoped_to_the_command(run, tmp_path, monkeypatch, before):
+    if before == "unset":
+        monkeypatch.delenv("SYMPOL_CACHE_DIR")
+    previous = os.environ.get("SYMPOL_CACHE_DIR")
+    special = tmp_path / "special-cache"
+    assert run("enumerate", "--n", 2, "--p", 2, "--cache", special, "--out", tmp_path / "c.csv") == 0
+    assert os.environ.get("SYMPOL_CACHE_DIR") == previous
+    # a rejected request restores it too
+    assert run("reconstruct", "--map", tmp_path / "missing.json", "--cache", special) == 2
+    assert os.environ.get("SYMPOL_CACHE_DIR") == previous

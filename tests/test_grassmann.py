@@ -1,10 +1,10 @@
 """Isotropic Grassmannian enumeration, adjacency and clique structure."""
 
 import json
-import os
 
 import pytest
 
+from sympol import grassmann
 from sympol.errors import DimensionError
 from sympol.grassmann import (
     adjacency_masks,
@@ -206,21 +206,18 @@ def test_cliques_are_stars_and_tops(n, p):
             assert stars.isdisjoint(tops)
 
 
-def test_disk_cache_round_trip(tmp_path):
+def test_disk_cache_round_trip(tmp_path, monkeypatch):
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(tmp_path))
     sp = SymplecticSpace.standard(2, 2)
-    cache = str(tmp_path)
-    g = grassmannian(sp, 1, cache_dir=cache, use_disk=True)
-    path = os.path.join(cache, "grassmannian-n2-p2-k1.json")
-    assert os.path.exists(path)
-    with open(path, "rb") as fh:
-        first = fh.read()
+    g = grassmannian(sp, 1)
+    path = tmp_path / "grassmannian-n2-p2-k1.json"
+    first = path.read_bytes()
     json.loads(first.decode())
-    # a fresh load must reproduce the same elements in the same order
-    reloaded = grassmannian(sp, 1, cache_dir=cache, use_disk=True)
+    # reading the file back must reproduce the same elements in the same order
+    reloaded = grassmann._load_cached(sp, 1, str(tmp_path))
+    assert reloaded is not None
     assert [s.rows for s in reloaded] == [s.rows for s in g]
-    with open(path, "rb") as fh:
-        assert fh.read() == first
-
+    assert path.read_bytes() == first
 
 
 def _truncate(sp, elements):
@@ -236,16 +233,19 @@ def _swap_in_non_isotropic(sp, elements):
 @pytest.mark.parametrize(
     "corrupt", [_truncate, _swap_in_non_isotropic], ids=["truncated", "non-isotropic"]
 )
-def test_corrupt_disk_cache_is_rebuilt(tmp_path, corrupt):
+def test_corrupt_disk_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     sp = SymplecticSpace.standard(2, 3)
     name = "grassmannian-n2-p3-k1.json"
     good_dir, bad_dir = tmp_path / "good", tmp_path / "bad"
-    fresh = grassmannian(sp, 1, cache_dir=str(good_dir))
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(good_dir))
+    fresh = grassmannian(sp, 1)
     good = (good_dir / name).read_bytes()
     obj = json.loads(good)
     obj["elements"] = corrupt(sp, obj["elements"])
     bad_dir.mkdir()
     (bad_dir / name).write_text(json.dumps(obj))
-    loaded = grassmannian(sp, 1, cache_dir=str(bad_dir))
+    assert grassmann._load_cached(sp, 1, str(bad_dir)) is None
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(bad_dir))
+    loaded = grassmannian(sp, 1)
     assert [s.rows for s in loaded] == [s.rows for s in fresh]
     assert (bad_dir / name).read_bytes() == good

@@ -1,6 +1,7 @@
 """JSON formats: round trips, canonical output and schema rejection."""
 
 import json
+import stat
 
 import pytest
 
@@ -41,6 +42,15 @@ def test_atomic_write_and_load(tmp_path):
     path.write_text("{broken")
     with pytest.raises(SchemaError, match="not valid JSON"):
         load_json(path)
+
+
+def test_atomic_write_mode_follows_umask(tmp_path):
+    plain = tmp_path / "plain.json"
+    with open(plain, "w") as fh:
+        fh.write("{}")
+    atomic = tmp_path / "atomic.json"
+    atomic_write_json(atomic, {})
+    assert stat.S_IMODE(atomic.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_space_header_round_trip(small_space):
