@@ -155,6 +155,9 @@ def perturb_pair(base: SymplecticBase, i: int, j: int, c: int) -> SymplecticBase
     return out
 
 
+_UNSCANNED = object()
+
+
 class PointMap:
     """An injective table from all points of one space to another.
 
@@ -162,7 +165,7 @@ class PointMap:
     so source and target frames stay separate.
     """
 
-    __slots__ = ("source", "target", "table", "_symplectic")
+    __slots__ = ("source", "target", "table", "_witness")
 
     def __init__(self, source, target, table):
         if (source.n, source.p) != (target.n, target.p):
@@ -179,7 +182,7 @@ class PointMap:
         self.source = source
         self.target = target
         self.table = dict(table)
-        self._symplectic = None
+        self._witness = _UNSCANNED
 
     @classmethod
     def identity(cls, space) -> "PointMap":
@@ -210,23 +213,25 @@ class PointMap:
             raise MapCheckError("only bijective point maps invert")
         return PointMap(self.target, self.source, {y: x for x, y in self.table.items()})
 
+    def orthogonality_witness(self):
+        """The first point pair on which orthogonality flips, or None; cached."""
+        if self._witness is _UNSCANNED:
+            pts = self.source.all_points()
+            src, tgt, table = self.source, self.target, self.table
+            self._witness = next(
+                (
+                    (x, y)
+                    for i, x in enumerate(pts)
+                    for y in pts[i + 1 :]
+                    if (src.omega(x, y) == 0) != (tgt.omega(table[x], table[y]) == 0)
+                ),
+                None,
+            )
+        return self._witness
+
     def preserves_orthogonality(self) -> bool:
         """True when orthogonality is preserved in both directions."""
-        if self._symplectic is None:
-            pts = self.source.all_points()
-            src, tgt = self.source, self.target
-            ok = True
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    a = src.omega(pts[i], pts[j]) == 0
-                    b = tgt.omega(self.table[pts[i]], self.table[pts[j]]) == 0
-                    if a != b:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._symplectic = ok
-        return self._symplectic
+        return self.orthogonality_witness() is None
 
     def __eq__(self, other):
         return (

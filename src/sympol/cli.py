@@ -915,9 +915,7 @@ def cmd_induce(cfg):
     if not 0 <= cfg.k < h.source.n:
         return _usage(f"k must lie in 0..{h.source.n - 1}")
     if not h.preserves_orthogonality():
-        from sympol.recon import orthogonality_witness
-
-        pair = orthogonality_witness(h)
+        pair = h.orthogonality_witness()
         print(f"point map is not symplectic: orthogonality flips on {pair}", file=sys.stderr)
         return 1
     f = induce(h, cfg.k)

@@ -18,6 +18,15 @@ M in G_(k-1) consists of all members of G_k through M; total isotropy
 makes the [M, M-perp] interval condition automatic.  The top of N in
 G_(k+1) consists of all its pdim-k subspaces.
 
+star_table is the one record of incidence between consecutive layers;
+tops are read off it by inversion.  Two members of G_k are adjacent
+exactly when they share a star, and ortho-adjacent exactly when they
+share a top, so adjacency_masks builds both relations as unions of
+those cliques and pair_relation reads them, with no pairwise geometry.
+The predicates adjacent and ortho_adjacent compute the relations from
+the subspaces themselves and serve as the independent reference the
+tests compare against.
+
 through_masks records point-member incidence as one bitmask of G_k
 indices per point, so a member spanned by known points is found by
 ANDing their masks.
@@ -38,14 +47,13 @@ from sympol.space import CLIQUE_GRID, SymplecticSpace, bits
 class Grassmannian:
     """Indexed family of all totally isotropic pdim-k subspaces."""
 
-    __slots__ = ("space", "k", "elements", "_index", "_pair_cache")
+    __slots__ = ("space", "k", "elements", "_index")
 
     def __init__(self, space, k, elements):
         self.space = space
         self.k = k
         self.elements = tuple(elements)
         self._index = {s.rows: i for i, s in enumerate(self.elements)}
-        self._pair_cache = {}
 
     def __len__(self):
         return len(self.elements)
@@ -61,25 +69,15 @@ class Grassmannian:
         return self._index.get(s.rows)
 
     def pair_relation(self, i, j):
-        """(adjacent, ortho_adjacent) for two element indices, cached."""
-        if i == j:
-            return (False, False)
-        key = (i, j) if i < j else (j, i)
-        rel = self._pair_cache.get(key)
-        if rel is None:
-            s, u = self.elements[key[0]], self.elements[key[1]]
-            adj = adjacent(s, u)
-            rel = (adj, adj and _mutually_orthogonal(self.space, s, u))
-            self._pair_cache[key] = rel
-        return rel
+        """(adjacent, ortho_adjacent) for two element indices.
 
-
-def _mutually_orthogonal(space, s, u):
-    for a in s.rows:
-        for b in u.rows:
-            if space.omega(a, b):
-                return False
-    return True
+        Read off the bit j of row i of adjacency_masks; an index outside
+        0..len - 1 raises IndexError.
+        """
+        if not (0 <= i < len(self.elements) and 0 <= j < len(self.elements)):
+            raise IndexError(f"pair ({i}, {j}) outside 0..{len(self.elements) - 1}")
+        adj, ortho = adjacency_masks(self.space, self.k)
+        return (bool(adj[i] >> j & 1), bool(ortho[i] >> j & 1))
 
 
 def adjacent(s: Subspace, u: Subspace) -> bool:
@@ -96,7 +94,7 @@ def adjacent(s: Subspace, u: Subspace) -> bool:
 
 def ortho_adjacent(space: SymplecticSpace, s: Subspace, u: Subspace) -> bool:
     """Adjacent and each inside the perp of the other."""
-    return adjacent(s, u) and _mutually_orthogonal(space, s, u)
+    return adjacent(s, u) and not any(space.omega(a, b) for a in s.rows for b in u.rows)
 
 
 def _levelwise(space, k, isotropic=True):
@@ -302,29 +300,33 @@ def interval(space: SymplecticSpace, m: Subspace, n_sub: Subspace, k):
     return tuple(s for s in top(space, n_sub, k) if s.contains(m))
 
 
+def _union_of_cliques(nverts, cliques):
+    """Bitmask rows of the graph whose edges join two members of a clique."""
+    rows = [0] * nverts
+    for clique in cliques:
+        mask = sum(1 << i for i in clique)
+        for i in clique:
+            rows[i] |= mask
+    return tuple(row & ~(1 << i) for i, row in enumerate(rows))
+
+
 @lru_cache(maxsize=None)
 def _adjacency_masks_memo(space, k):
-    g = grassmannian(space, k)
-    nverts = len(g)
-    adj = [0] * nverts
-    ortho = [0] * nverts
-    for i in range(nverts):
-        for j in range(i + 1, nverts):
-            a, o = g.pair_relation(i, j)
-            if a:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            if o:
-                ortho[i] |= 1 << j
-                ortho[j] |= 1 << i
-    return tuple(adj), tuple(ortho)
+    nverts = grassmannian_size(space.n, space.p, k)
+    return (
+        _union_of_cliques(nverts, star_index_sets(space, k)),
+        _union_of_cliques(nverts, top_index_sets(space, k)),
+    )
 
 
 def adjacency_masks(space, k):
     """(adjacency, ortho-adjacency) bitmask rows over G_k, both cached.
 
     Bit j of row i is set when elements i and j stand in the relation;
-    diagonals stay clear.
+    diagonals stay clear.  Two members are adjacent exactly when they
+    lie in a common star and ortho-adjacent exactly when they lie in a
+    common top, so each row is the union of the cliques through its
+    member, read off star_table with no row reduction.
     """
     return _adjacency_masks_memo(space, k)
 
@@ -373,12 +375,16 @@ def star_index_sets(space, k):
 
 
 def top_index_sets(space, k):
-    """Tops of G_k as index sets; empty above the top rank."""
+    """Tops of G_k as index sets; empty above the top rank.
+
+    Row m of star_table(space, k + 1) lists the members of G_(k+1)
+    through member m of G_k, so the top of a member of G_(k+1) is the
+    set of rows that list it.
+    """
     if k + 1 > space.n - 1:
         return []
-    g_low = grassmannian(space, k)
-    g_high = grassmannian(space, k + 1)
-    out = []
-    for s in g_high.elements:
-        out.append(frozenset(g_low.index_of(h) for h in hyperplanes_of(s)))
-    return sorted(out, key=sorted)
+    tops = [set() for _ in range(grassmannian_size(space.n, space.p, k + 1))]
+    for mi, row in enumerate(star_table(space, k + 1, None)):
+        for si in row:
+            tops[si].add(mi)
+    return sorted((frozenset(t) for t in tops), key=sorted)

@@ -309,18 +309,6 @@ def check_top_transport(f: GrassmannianMap, g: GrassmannianMap) -> int:
     return count
 
 
-def orthogonality_witness(h: PointMap):
-    """A point pair on which orthogonality flips, or None."""
-    pts = h.source.all_points()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            before = h.source.omega(pts[i], pts[j]) == 0
-            after = h.target.omega(h.apply(pts[i]), h.apply(pts[j])) == 0
-            if before != after:
-                return (pts[i], pts[j])
-    return None
-
-
 def reconstruct(f: GrassmannianMap, check_bases=()):
     """Walk a layer map down to points and package the verified result.
 
@@ -388,7 +376,7 @@ def reconstruct(f: GrassmannianMap, check_bases=()):
     except MapCheckError as exc:
         fail(0, "point-table", exc)
     if not h.preserves_orthogonality():
-        fail(0, "orthogonality-both-ways", MapCheckError(f"pair {orthogonality_witness(h)}"))
+        fail(0, "orthogonality-both-ways", MapCheckError(f"pair {h.orthogonality_witness()}"))
     passed(0, "orthogonality-both-ways", len(table) * (len(table) - 1) // 2)
     try:
         for base in bases:

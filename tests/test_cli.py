@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, determinism and file handling."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -72,6 +73,23 @@ def test_verify_is_seed_deterministic(run, tmp_path):
     assert run(*args, "--seed", "t", "--out", c) == 0
     assert read_bytes(a) == read_bytes(b)
     assert read_bytes(a) != read_bytes(c)
+
+
+# SHA-256 digests of the (2, 2) `verify --suite all --seed s1` report pair,
+# recorded when the reports were last checked by hand; they are the same
+# under any PYTHONHASHSEED and any --out path.  A change to these bytes is
+# a change to the tool's output and has to be deliberate.
+VERIFY_ALL_S1_N2_P2 = {
+    ".json": "a8676a5b300c72acd385713186ae209d5a00ed43e32e1867ca819bd6385bd986",
+    ".csv": "43fe8b756dfc2792ae97edc848127b044d2580885b45c65a767abe825a33323b",
+}
+
+
+def test_verify_all_report_bytes_are_pinned(run, tmp_path):
+    out = tmp_path / "report.json"
+    assert run("verify", "--n", 2, "--p", 2, "--suite", "all", "--seed", "s1", "--out", out) == 0
+    for suffix, digest in VERIFY_ALL_S1_N2_P2.items():
+        assert hashlib.sha256(read_bytes(out.with_suffix(suffix))).hexdigest() == digest
 
 
 def test_verify_requires_seed(run, tmp_path):

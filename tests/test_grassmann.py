@@ -83,18 +83,24 @@ def test_adjacency_is_symmetric_and_irreflexive(small_space):
                     assert adjacent(g[i], g[j]) == adjacent(g[j], g[i])
 
 
-def test_pair_relation_agrees_with_predicates(small_space):
-    sp = small_space
+# pair_relation reads the masks built from stars and tops; every unordered
+# pair is checked against the geometric predicates, one grid past BASE_GRID.
+PAIR_GRID = BASE_GRID + ((2, 5),)
+
+
+@pytest.mark.parametrize("n,p", PAIR_GRID, ids=[f"n{n}p{p}" for n, p in PAIR_GRID])
+def test_pair_relation_agrees_with_predicates(n, p):
+    sp = SymplecticSpace.standard(n, p)
     for k in layers(sp):
         g = grassmannian(sp, k)
-        step = max(1, len(g) // 10)
-        for i in range(0, len(g), step):
-            for j in range(0, len(g), step):
-                if i == j:
-                    continue
-                adj, oadj = g.pair_relation(i, j)
-                assert adj == adjacent(g[i], g[j])
-                assert oadj == ortho_adjacent(sp, g[i], g[j])
+        for i in range(len(g)):
+            assert g.pair_relation(i, i) == (False, False)
+            for j in range(i + 1, len(g)):
+                rel = g.pair_relation(i, j)
+                assert rel == (adjacent(g[i], g[j]), ortho_adjacent(sp, g[i], g[j]))
+                assert g.pair_relation(j, i) == rel
+        with pytest.raises(IndexError):
+            g.pair_relation(0, len(g))
 
 
 def test_adjacency_needs_matching_dimension(small_space):
@@ -148,7 +154,7 @@ def test_top_membership_and_interval(small_space):
 def test_star_table_consistency(small_space):
     sp = small_space
     for k in range(1, sp.n):
-        table = star_table(sp, k)
+        table = star_table(sp, k, None)
         g_high = grassmannian(sp, k)
         # every member lies in exactly one star per hyperplane
         per_member = [0] * len(g_high)

@@ -24,7 +24,6 @@ from sympol.recon import (
     identify_base_subset,
     image_base,
     induce,
-    orthogonality_witness,
     reconstruct,
     type1_position_map,
 )
@@ -196,13 +195,13 @@ def test_identify_base_subset(small_space):
 def test_orthogonality_witness(small_space):
     sp = small_space
     h = random_collineation(sp, 2)
-    assert orthogonality_witness(h) is None
+    assert h.orthogonality_witness() is None
     pts = sp.all_points()
     base = SymplecticBase.standard(sp)
     table = {x: x for x in pts}
     a, b = base.points[0], base.points[sp.n]
     table[a], table[b] = b, a
-    x, y = orthogonality_witness(PointMap(sp, sp, table))
+    x, y = PointMap(sp, sp, table).orthogonality_witness()
     assert (sp.omega(x, y) == 0) != (sp.omega(table[x], table[y]) == 0)
 
 
