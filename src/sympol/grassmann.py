@@ -3,13 +3,14 @@
 G_k collects the totally isotropic subspaces of projective dimension k,
 sorted by the global row-matrix ordering; downstream code refers to its
 elements by index.  Enumeration works level by level: each isotropic
-subspace of rank j is extended by every point of its perp not already
-inside, and duplicates are removed by canonical form.  Each layer is
-cached on disk keyed by (n, p, k), because the larger grids are
-dominated by this enumeration.  The one setting for the cache location
-is the SYMPOL_CACHE_DIR environment variable, read by
-default_cache_dir() and falling back to ~/.cache/sympol.  A cached layer
-is checked structurally on load and rebuilt when the check fails.
+subspace s of rank j is extended by the points of a complement of s in
+its perp, one representative per point of perp(s)/s, and duplicates
+are removed by canonical form.  Each layer is cached on disk keyed by
+(n, p, k): a cold (3, 3) build still takes about a second against a few
+hundredths for a load.  The one setting for the cache location is the
+SYMPOL_CACHE_DIR environment variable, read by default_cache_dir() and
+falling back to ~/.cache/sympol.  A cached layer whose file format,
+header or structure fails the check on load is rebuilt and rewritten.
 
 Two pdim-k subspaces are adjacent when their intersection has pdim
 k - 1 (for k = 0 this means being distinct), and ortho-adjacent when,
@@ -18,14 +19,15 @@ M in G_(k-1) consists of all members of G_k through M; total isotropy
 makes the [M, M-perp] interval condition automatic.  The top of N in
 G_(k+1) consists of all its pdim-k subspaces.
 
-star_table is the one record of incidence between consecutive layers;
-tops are read off it by inversion.  Two members of G_k are adjacent
-exactly when they share a star, and ortho-adjacent exactly when they
-share a top, so adjacency_masks builds both relations as unions of
-those cliques and pair_relation reads them, with no pairwise geometry.
-The predicates adjacent and ortho_adjacent compute the relations from
-the subspaces themselves and serve as the independent reference the
-tests compare against.
+star_table is the one record of incidence between consecutive layers,
+read off through_masks with no row reduction; tops are read off it by
+inversion.  Two members of G_k are adjacent exactly when they share a
+star, and ortho-adjacent exactly when they share a top, so
+adjacency_masks builds both relations as unions of those cliques and
+pair_relation reads them, with no pairwise geometry.  The predicates
+adjacent and ortho_adjacent compute the relations from the subspaces
+themselves, hyperplanes_of the stars, and all_subspaces the layers;
+they serve as the independent references the tests compare against.
 
 through_masks records point-member incidence as one bitmask of G_k
 indices per point, so a member spanned by known points is found by
@@ -39,7 +41,7 @@ from functools import lru_cache
 
 from sympol import _kernels
 from sympol.errors import DimensionError, FeasibilityError, SchemaError
-from sympol.linalg import Subspace
+from sympol.linalg import Subspace, extend_basis
 from sympol.serialize import atomic_write_json, load_json
 from sympol.space import CLIQUE_GRID, SymplecticSpace, bits
 
@@ -97,17 +99,43 @@ def ortho_adjacent(space: SymplecticSpace, s: Subspace, u: Subspace) -> bool:
     return adjacent(s, u) and not any(space.omega(a, b) for a in s.rows for b in u.rows)
 
 
-def _levelwise(space, k, isotropic=True):
+def _levelwise(space, k):
+    """G_k built from scratch, one rank at a time.
+
+    Each totally isotropic s is extended by the points of a complement
+    of s in perp(s): one representative per point of perp(s)/s, so
+    every candidate is new to s and isotropic with it.  The empty
+    subspace, whose perp is everything, takes every point.
+    """
     p, d = space.p, space.dim
     level = [Subspace.empty(p, d)]
     for _ in range(k + 1):
         nxt = {}
         for s in level:
-            if isotropic:
-                candidates = space.perp(s).points() if s.rows else space.all_points()
+            if s.rows:
+                rest = extend_basis(s.rows, space.perp(s).rows, p, d)
+                candidates = Subspace.span(p, d, rest).points()
             else:
                 candidates = space.all_points()
             for q in candidates:
+                rows = _kernels.rref(s.rows + (q,), d, p)
+                nxt.setdefault(rows, Subspace(p, d, rows))
+        level = list(nxt.values())
+    return tuple(sorted(level, key=lambda s: s.rows))
+
+
+def all_subspaces(space: SymplecticSpace, k):
+    """Every pdim-k subspace of the ambient projective space (oracle).
+
+    Built by extending each subspace by every point outside it, with no
+    use of the form, so it stays independent of _levelwise.
+    """
+    p, d = space.p, space.dim
+    level = [Subspace.empty(p, d)]
+    for _ in range(k + 1):
+        nxt = {}
+        for s in level:
+            for q in space.all_points():
                 if s.rows and s.contains_vector(q):
                     continue
                 rows = _kernels.rref(s.rows + (q,), d, p)
@@ -116,17 +144,17 @@ def _levelwise(space, k, isotropic=True):
     return tuple(sorted(level, key=lambda s: s.rows))
 
 
-def all_subspaces(space: SymplecticSpace, k):
-    """Every pdim-k subspace of the ambient projective space (oracle)."""
-    return _levelwise(space, k, isotropic=False)
-
-
 def default_cache_dir():
     """SYMPOL_CACHE_DIR when set and non-empty, else ~/.cache/sympol."""
     env = os.environ.get("SYMPOL_CACHE_DIR")
     if env:
         return env
     return os.path.join(os.path.expanduser("~"), ".cache", "sympol")
+
+
+# Version of the cache file layout; a file with no "format" or another
+# value is rejected on load, so the layer is rebuilt and the file rewritten.
+CACHE_FORMAT = 1
 
 
 def _cache_path(cache_dir, space, k):
@@ -166,12 +194,15 @@ def _valid_layer(space, k, members):
 
 
 def _load_cached(space, k, cache_dir):
-    """The cached G_k elements, or None when the file is absent or fails validation."""
+    """The cached G_k elements, or None when the file is absent, has
+    another format, or fails validation."""
     path = _cache_path(cache_dir, space, k)
     if not os.path.exists(path):
         return None
     try:
         obj = load_json(path)
+        if obj.get("format") != CACHE_FORMAT:
+            return None
         if obj.get("space") != space.header() or obj.get("k") != k:
             return None
         elements = [
@@ -194,6 +225,7 @@ def _grassmannian_memo(space, k, cache_dir):
     atomic_write_json(
         _cache_path(cache_dir, space, k),
         {
+            "format": CACHE_FORMAT,
             "space": space.header(),
             "k": k,
             "elements": [[list(r) for r in s.rows] for s in g.elements],
@@ -260,6 +292,11 @@ def hyperplanes_of(s: Subspace):
 def star_table(space: SymplecticSpace, k, _unused=None):
     """For each index of M in G_(k-1), the indices of its star in G_k.
 
+    A member of G_k contains M exactly when it contains M's k canonical
+    rows, each already a normalized point, so row M is the AND of their
+    through_masks(space, k) rows, read out in increasing index order.
+    hyperplanes_of gives the same table geometrically.
+
     The third argument is ignored.  Callers pass None so that every
     lookup shares the memo key (space, k, None), which the benchmark
     session warms before its timed operations; dropping the argument
@@ -267,13 +304,15 @@ def star_table(space: SymplecticSpace, k, _unused=None):
     """
     if k < 1:
         raise DimensionError("stars need k >= 1")
-    g_low = grassmannian(space, k - 1)
-    g_high = grassmannian(space, k)
-    table = [[] for _ in range(len(g_low))]
-    for si, s in enumerate(g_high.elements):
-        for h in hyperplanes_of(s):
-            table[g_low.index_of(h)].append(si)
-    return tuple(tuple(row) for row in table)
+    index = space.point_index()
+    through = through_masks(space, k)
+    table = []
+    for m in grassmannian(space, k - 1).elements:
+        mask = -1
+        for r in m.rows:
+            mask &= through[index[r]]
+        table.append(tuple(bits(mask)))
+    return tuple(table)
 
 
 def star(space: SymplecticSpace, m: Subspace, k):

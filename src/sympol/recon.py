@@ -18,7 +18,13 @@ from sympol.errors import (
     RecognitionError,
     SpaceMismatchError,
 )
-from sympol.grassmann import Grassmannian, grassmannian, hyperplanes_of, star_table
+from sympol.grassmann import (
+    Grassmannian,
+    adjacency_masks,
+    grassmannian,
+    hyperplanes_of,
+    star_table,
+)
 from sympol.linalg import Subspace, intersect_all
 from sympol.subsets import (
     BaseSubset,
@@ -164,18 +170,25 @@ def check_adjacency_preservation(f: GrassmannianMap, pairs=None, limit=5):
     Every unordered element pair is compared by default.  Returns the
     mismatches found, capped at the limit; an empty tuple is a pass.
     """
-    source, target = f.source, f.target
-    below_top = f.source.k < f.source.space.n - 1
+    source, target, table = f.source, f.target, f.table
+    below_top = source.k < source.space.n - 1
+    src_adj, src_ortho = adjacency_masks(source.space, source.k)
+    tgt_adj, tgt_ortho = adjacency_masks(target.space, target.k)
+    size = len(source)
     if pairs is None:
-        pairs = combinations(range(len(source)), 2)
+        pairs = combinations(range(size), 2)
     bad = []
     for i, j in pairs:
-        src_adj, src_ortho = source.pair_relation(i, j)
-        tgt_adj, tgt_ortho = target.pair_relation(f.table[i], f.table[j])
-        if src_adj != tgt_adj:
-            bad.append((i, j, "adjacent", src_adj, tgt_adj))
-        elif below_top and src_ortho != tgt_ortho:
-            bad.append((i, j, "ortho", src_ortho, tgt_ortho))
+        if not (0 <= i < size and 0 <= j < size):
+            raise IndexError(f"pair ({i}, {j}) outside 0..{size - 1}")
+        a, b = table[i], table[j]
+        sa, ta = bool(src_adj[i] >> j & 1), bool(tgt_adj[a] >> b & 1)
+        if sa != ta:
+            bad.append((i, j, "adjacent", sa, ta))
+        elif below_top:
+            so, to = bool(src_ortho[i] >> j & 1), bool(tgt_ortho[a] >> b & 1)
+            if so != to:
+                bad.append((i, j, "ortho", so, to))
         if len(bad) >= limit:
             break
     return tuple(bad)

@@ -1,5 +1,6 @@
 """Isotropic Grassmannian enumeration, adjacency and clique structure."""
 
+import hashlib
 import json
 
 import pytest
@@ -39,13 +40,32 @@ def test_counts_match_closed_form(small_space):
         assert len({s.rows for s in g}) == len(g)
 
 
-def test_counts_match_brute_force():
-    sp = SymplecticSpace.standard(2, 3)
+# The perp(s)/s build against the full scan of every subspace, filtered
+# by the form afterwards: the two share no code past the kernels.
+@pytest.mark.parametrize("n,p", BASE_GRID + ((2, 5),))
+def test_layers_match_brute_force(n, p):
+    sp = SymplecticSpace.standard(n, p)
     for k in layers(sp):
-        oracle = [s for s in all_subspaces(sp, k) if sp.is_totally_isotropic(s)]
-        assert len(oracle) == len(grassmannian(sp, k))
-        g = grassmannian(sp, k)
-        assert all(g.index_of(s) is not None for s in oracle)
+        oracle = [s.rows for s in all_subspaces(sp, k) if sp.is_totally_isotropic(s)]
+        assert [s.rows for s in grassmannian(sp, k)] == oracle
+
+
+# SHA-256 of the JSON row lists of G_0, G_1, G_2 at (3, 3), fixed before the
+# perp(s)/s build replaced the full perp scan; no oracle reaches this grid.
+LAYER_DIGESTS_3_3 = (
+    "e625087afc1c747615016f2e0821b0d549c7ee2c6a6452ca95e031445747b86b",
+    "d577b13b7565e5b7334c90f6d2920c4f75d64eef85cf962595448f02b715efd4",
+    "29dfe55565b6828ddfbfa1009dccafbe699523ba14e4eed81287a3eaabcebc36",
+)
+
+
+def test_layer_digests_are_pinned_at_3_3(tmp_path, monkeypatch):
+    # a fresh cache directory makes every layer a cold build
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(tmp_path))
+    sp = SymplecticSpace.standard(3, 3)
+    for k, digest in enumerate(LAYER_DIGESTS_3_3):
+        rows = [[list(r) for r in s.rows] for s in grassmannian(sp, k)]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n,p", BASE_GRID + ((2, 5),))
@@ -165,6 +185,20 @@ def test_star_table_consistency(small_space):
         assert all(c == hyp_count for c in per_member)
 
 
+@pytest.mark.parametrize("n,p", BASE_GRID + ((2, 5),))
+def test_star_table_matches_hyperplanes(n, p):
+    # star_table reads point masks; the reference files each member of G_k
+    # under each of its hyperplanes
+    sp = SymplecticSpace.standard(n, p)
+    for k in range(1, sp.n):
+        g_low = grassmannian(sp, k - 1)
+        rows = [[] for _ in g_low]
+        for si, s in enumerate(grassmannian(sp, k)):
+            for h in hyperplanes_of(s):
+                rows[g_low.index_of(h)].append(si)
+        assert star_table(sp, k, None) == tuple(tuple(row) for row in rows)
+
+
 def test_star_index_sets_at_zero(small_space):
     sets = star_index_sets(small_space, 0)
     assert sets == [frozenset(range(len(grassmannian(small_space, 0))))]
@@ -226,18 +260,29 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     assert path.read_bytes() == first
 
 
-def _truncate(sp, elements):
-    return elements[:-1]
+def _truncate(sp, obj):
+    obj["elements"] = obj["elements"][:-1]
 
 
-def _swap_in_non_isotropic(sp, elements):
+def _swap_in_non_isotropic(sp, obj):
     # same count, canonical rows, sorted and distinct: only isotropy fails
     stranger = next(s for s in all_subspaces(sp, 1) if not sp.is_totally_isotropic(s))
-    return sorted(elements[1:] + [[list(r) for r in stranger.rows]])
+    obj["elements"] = sorted(obj["elements"][1:] + [[list(r) for r in stranger.rows]])
+
+
+def _drop_format(sp, obj):
+    # a file written before the format key existed
+    del obj["format"]
+
+
+def _other_format(sp, obj):
+    obj["format"] = grassmann.CACHE_FORMAT + 1
 
 
 @pytest.mark.parametrize(
-    "corrupt", [_truncate, _swap_in_non_isotropic], ids=["truncated", "non-isotropic"]
+    "corrupt",
+    [_truncate, _swap_in_non_isotropic, _drop_format, _other_format],
+    ids=["truncated", "non-isotropic", "no-format", "other-format"],
 )
 def test_corrupt_disk_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     sp = SymplecticSpace.standard(2, 3)
@@ -247,7 +292,8 @@ def test_corrupt_disk_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     fresh = grassmannian(sp, 1)
     good = (good_dir / name).read_bytes()
     obj = json.loads(good)
-    obj["elements"] = corrupt(sp, obj["elements"])
+    assert obj["format"] == grassmann.CACHE_FORMAT == 1
+    corrupt(sp, obj)
     bad_dir.mkdir()
     (bad_dir / name).write_text(json.dumps(obj))
     assert grassmann._load_cached(sp, 1, str(bad_dir)) is None
@@ -255,3 +301,4 @@ def test_corrupt_disk_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     loaded = grassmannian(sp, 1)
     assert [s.rows for s in loaded] == [s.rows for s in fresh]
     assert (bad_dir / name).read_bytes() == good
+
