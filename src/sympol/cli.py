@@ -61,7 +61,7 @@ from sympol.serialize import (
     load_json,
     write_report_csv,
 )
-from sympol.space import BASE_GRID, CLIQUE_GRID, ENUM_GRID, SymplecticSpace, bits
+from sympol.space import BASE_GRID, CLIQUE_GRID, ENUM_GRID, SymplecticSpace, image_mask
 from sympol.subsets import (
     BaseSubset,
     base_subset_size,
@@ -517,14 +517,6 @@ def run_trichotomy(cfg, rng):
     return entries
 
 
-def _image_mask(mask, table):
-    """The bitmask of the table images of the indices set in mask."""
-    out = 0
-    for i in bits(mask):
-        out |= 1 << table[i]
-    return out
-
-
 @_suite(
     "adjacency-preservation",
     "a map induced by a collineation preserves adjacency, and ortho-adjacency below the top layer",
@@ -553,10 +545,10 @@ def run_adjacency_preservation(cfg, rng):
             if exhaustive:
                 for i in range(len(g)):
                     pairs_checked += adj[i].bit_count()
-                    if _image_mask(adj[i], tb) != adj[tb[i]]:
+                    if image_mask(adj[i], tb) != adj[tb[i]]:
                         adj_bad += 1
                         witness = witness or f"trial {t}, element {i}"
-                    if k < cfg.n - 1 and _image_mask(ortho[i], tb) != ortho[tb[i]]:
+                    if k < cfg.n - 1 and image_mask(ortho[i], tb) != ortho[tb[i]]:
                         ortho_bad += 1
                         witness = witness or f"trial {t}, element {i}"
             else:

@@ -20,8 +20,9 @@ makes the [M, M-perp] interval condition automatic.  The top of N in
 G_(k+1) consists of all its pdim-k subspaces.
 
 star_table is the one record of incidence between consecutive layers,
-read off through_masks with no row reduction; tops are read off it by
-inversion.  Two members of G_k are adjacent exactly when they share a
+read off through_masks with no row reduction.  hyper_masks is its
+inverse, one bitmask of hyperplanes per member, and tops are read off
+that inverse.  Two members of G_k are adjacent exactly when they share a
 star, and ortho-adjacent exactly when they share a top, so
 adjacency_masks builds both relations as unions of those cliques and
 pair_relation reads them, with no pairwise geometry.  The predicates
@@ -315,6 +316,23 @@ def star_table(space: SymplecticSpace, k, _unused=None):
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def hyper_masks(space: SymplecticSpace, k):
+    """Bitmask per member of G_k of its hyperplanes in G_(k-1).
+
+    Bit m of entry s is set when member m of G_(k-1) lies in member s of
+    G_k.  This is star_table(space, k, None) inverted, so it needs no row
+    reduction; hyperplanes_of gives the same rows geometrically.
+    """
+    stars = star_table(space, k, None)
+    masks = [0] * grassmannian_size(space.n, space.p, k)
+    for mi, row in enumerate(stars):
+        bit = 1 << mi
+        for si in row:
+            masks[si] |= bit
+    return tuple(masks)
+
+
 def star(space: SymplecticSpace, m: Subspace, k):
     """All members of G_k through m, for m in G_(k-1)."""
     g_low = grassmannian(space, k - 1)
@@ -416,14 +434,9 @@ def star_index_sets(space, k):
 def top_index_sets(space, k):
     """Tops of G_k as index sets; empty above the top rank.
 
-    Row m of star_table(space, k + 1) lists the members of G_(k+1)
-    through member m of G_k, so the top of a member of G_(k+1) is the
-    set of rows that list it.
+    The top of a member of G_(k+1) is its set of hyperplanes in G_k,
+    which is its row of hyper_masks(space, k + 1).
     """
     if k + 1 > space.n - 1:
         return []
-    tops = [set() for _ in range(grassmannian_size(space.n, space.p, k + 1))]
-    for mi, row in enumerate(star_table(space, k + 1, None)):
-        for si in row:
-            tops[si].add(mi)
-    return sorted((frozenset(t) for t in tops), key=sorted)
+    return sorted((frozenset(bits(mask)) for mask in hyper_masks(space, k + 1)), key=sorted)

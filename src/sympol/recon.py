@@ -5,6 +5,12 @@ subsets already determines a map on points.  The functions here walk a
 layer map down one dimension at a time through star intersections,
 verify the transport facts that justify each step, and package the
 resulting point map with a machine-checkable report.
+
+descend and induce do no row reduction per map: the meet of a star's
+images is the AND of their hyper_masks rows, and the member spanned by
+a member's image points is the AND of their through_masks rows, each
+accepted only when exactly one bit is left.  check_top_transport stays
+geometric, as the independent check on each descent step.
 """
 
 from itertools import combinations
@@ -22,10 +28,12 @@ from sympol.grassmann import (
     Grassmannian,
     adjacency_masks,
     grassmannian,
+    hyper_masks,
     hyperplanes_of,
     star_table,
+    through_masks,
 )
-from sympol.linalg import Subspace, intersect_all
+from sympol.linalg import Subspace
 from sympol.subsets import (
     BaseSubset,
     base_subset_size,
@@ -103,16 +111,32 @@ class GrassmannianMap:
         )
 
 
+def _single_bit(mask):
+    """The index of the one set bit of mask, or None for any other mask."""
+    if mask > 0 and not mask & (mask - 1):
+        return mask.bit_length() - 1
+    return None
+
+
 def induce(h: PointMap, k) -> GrassmannianMap:
-    """Layer map sending each member to the span of its points' images."""
+    """Layer map sending each member to the span of its points' images.
+
+    Bit m of the AND of the through_masks rows of the image points is set
+    exactly when member m holds them all.  A totally isotropic span of
+    pdim k is the one such member; a smaller one lies in at least p + 1,
+    and a larger or non-isotropic one in none, so any count other than
+    one means the image left the layer.
+    """
     source = grassmannian(h.source, k)
     target = grassmannian(h.target, k)
-    p = h.target.p
-    d = h.target.dim
+    index = h.target.point_index()
+    through = through_masks(h.target, k)
     table = []
     for s in source.elements:
-        img = Subspace.span(p, d, [h.apply(pt) for pt in s.points()])
-        j = target.index_of(img)
+        mask = -1
+        for pt in s.points():
+            mask &= through[index[h.apply(pt)]]
+        j = _single_bit(mask)
         if j is None:
             raise MapCheckError("induced image left the layer", witness=s)
         table.append(j)
@@ -280,8 +304,11 @@ def descend(f: GrassmannianMap) -> GrassmannianMap:
 
     The images of all members through a fixed pdim k - 1 subspace have
     a unique pdim k - 1 subspace in common, which becomes the image;
-    star containment on the image side then holds by construction.  A
-    wrong dimension count raises DescentError.
+    star containment on the image side then holds by construction.  The
+    common hyperplanes of the images are the AND of their hyper_masks
+    rows.  The meet of totally isotropic images is totally isotropic, so
+    it is a member of G_(k-1) exactly when that AND has one bit, and any
+    other count raises DescentError.
     """
     k = f.source.k
     if k < 1:
@@ -289,19 +316,17 @@ def descend(f: GrassmannianMap) -> GrassmannianMap:
     space = f.source.space
     src_low = grassmannian(space, k - 1)
     tgt_low = grassmannian(f.target.space, k - 1)
-    stars = star_table(space, k, None)
+    hyper = hyper_masks(f.target.space, k)
+    image = f.table
     table = []
-    for mi in range(len(src_low)):
-        images = [f.target.elements[f.table[si]] for si in stars[mi]]
-        common = intersect_all(images)
-        if common.pdim != k - 1:
-            raise DescentError(
-                "star images share the wrong dimension", level=k - 1, witness=src_low.elements[mi]
-            )
-        j = tgt_low.index_of(common)
+    for mi, star in enumerate(star_table(space, k, None)):
+        mask = -1
+        for si in star:
+            mask &= hyper[image[si]]
+        j = _single_bit(mask)
         if j is None:
             raise DescentError(
-                "star images meet outside the layer", level=k - 1, witness=src_low.elements[mi]
+                "star images share the wrong dimension", level=k - 1, witness=src_low.elements[mi]
             )
         table.append(j)
     return GrassmannianMap(src_low, tgt_low, table)

@@ -36,6 +36,14 @@ def bits(mask):
         mask ^= low
 
 
+def image_mask(mask, table):
+    """The bitmask of the table images of the indices set in mask."""
+    out = 0
+    for i in bits(mask):
+        out |= 1 << table[i]
+    return out
+
+
 class SymplecticSpace:
     """Rank n symplectic space over GF(p) with the standard form."""
 

@@ -6,12 +6,14 @@ import pytest
 
 from sympol.bases import PointMap, SymplecticBase, random_base, random_collineation
 from sympol.errors import (
+    DescentError,
     DimensionError,
     MapCheckError,
     RecognitionError,
     ReconstructionError,
 )
-from sympol.grassmann import grassmannian
+from sympol.grassmann import grassmannian, hyper_masks, hyperplanes_of
+from sympol.linalg import Subspace, intersect_all
 from sympol.recon import (
     GrassmannianMap,
     check_adjacency_preservation,
@@ -37,6 +39,122 @@ def layers(space):
 
 def compose_tables(outer, inner):
     return tuple(outer.table[j] for j in inner.table)
+
+
+def swapped_point_map(sp):
+    """The identity with the standard base's first hyperbolic pair swapped."""
+    table = {x: x for x in sp.all_points()}
+    base = SymplecticBase.standard(sp)
+    a, b = base.points[0], base.points[sp.n]
+    table[a], table[b] = b, a
+    return PointMap(sp, sp, table)
+
+
+class CollapsedPointMap:
+    """Sends every point to one point.
+
+    PointMap refuses a table that is not injective, and the images of an
+    injective one always span at least pdim k, so this stand-in is the
+    only way to make the image points of a member lie in several members.
+    """
+
+    def __init__(self, space, point):
+        self.source = self.target = space
+        self.point = point
+
+    def apply(self, pt):
+        return self.point
+
+
+def induce_reference(h, k):
+    """induce through Subspace.span and index_of."""
+    source = grassmannian(h.source, k)
+    target = grassmannian(h.target, k)
+    table = []
+    for s in source.elements:
+        img = Subspace.span(h.target.p, h.target.dim, [h.apply(pt) for pt in s.points()])
+        j = target.index_of(img)
+        if j is None:
+            raise MapCheckError("induced image left the layer", witness=s)
+        table.append(j)
+    return GrassmannianMap(source, target, table)
+
+
+def geometric_hyperplanes(sp, k):
+    """Per member of G_k, the G_(k-1) indices of its hyperplanes_of."""
+    low = grassmannian(sp, k - 1)
+    return [[low.index_of(m) for m in hyperplanes_of(s)] for s in grassmannian(sp, k)]
+
+
+def descend_reference(f, hyperplanes):
+    """descend through intersect_all and index_of, with stars read off the
+    geometric hyperplane lists."""
+    k = f.source.k
+    src_low = grassmannian(f.source.space, k - 1)
+    tgt_low = grassmannian(f.target.space, k - 1)
+    stars = [[] for _ in src_low]
+    for si, row in enumerate(hyperplanes):
+        for mi in row:
+            stars[mi].append(si)
+    table = []
+    for mi, star in enumerate(stars):
+        j = tgt_low.index_of(intersect_all(f.target.elements[f.table[si]] for si in star))
+        if j is None:
+            raise DescentError(
+                "star images share the wrong dimension", level=k - 1, witness=src_low.elements[mi]
+            )
+        table.append(j)
+    return GrassmannianMap(src_low, tgt_low, table)
+
+
+def test_index_routes_match_geometric_routes(small_space):
+    sp = small_space
+    maps = [PointMap.identity(sp)] + [random_collineation(sp, seed) for seed in (101, 102, 103)]
+    for k in layers(sp):
+        if k >= 1:
+            hyperplanes = geometric_hyperplanes(sp, k)
+            assert hyper_masks(sp, k) == tuple(sum(1 << mi for mi in row) for row in hyperplanes)
+        for h in maps:
+            f = induce(h, k)
+            assert f == induce_reference(h, k)
+            if k >= 1:
+                assert descend(f) == descend_reference(f, hyperplanes)
+
+
+def test_induce_rejects_like_the_geometric_route(small_space):
+    # The swapped map's images leave the layer as no member at all; the
+    # collapsed map's lie in many members, so only an exactly-one-bit
+    # test rejects them.
+    sp = small_space
+    for h in (swapped_point_map(sp), CollapsedPointMap(sp, sp.all_points()[0])):
+        for k in range(1, sp.n):
+            with pytest.raises(MapCheckError) as want:
+                induce_reference(h, k)
+            with pytest.raises(MapCheckError) as got:
+                induce(h, k)
+            assert str(got.value) == str(want.value) == "induced image left the layer"
+            assert got.value.witness == want.value.witness
+
+
+def test_descend_rejects_like_the_geometric_route(small_space):
+    # Two swapped entries leave some star images with no common member;
+    # a constant table leaves every star image sharing many.
+    sp = small_space
+    h = random_collineation(sp, 1)
+    for k in range(1, sp.n):
+        f = induce(h, k)
+        hyperplanes = geometric_hyperplanes(sp, k)
+        swapped = list(f.table)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        for table in (swapped, [f.table[0]] * len(f.table)):
+            bad = GrassmannianMap(f.source, f.target, table)
+            with pytest.raises(DescentError) as want:
+                descend_reference(bad, hyperplanes)
+            with pytest.raises(DescentError) as got:
+                descend(bad)
+            assert str(got.value) == str(want.value) == "star images share the wrong dimension"
+            assert got.value.level == want.value.level == k - 1
+            assert got.value.witness == want.value.witness
 
 
 def test_map_validation(small_space):
@@ -253,15 +371,8 @@ def test_reconstruct_rejects_corrupted_table(small_space):
 
 
 def test_reconstruct_rejects_non_collineation_point_map(small_space):
-    sp = small_space
-    pts = sp.all_points()
-    base = SymplecticBase.standard(sp)
-    table = {x: x for x in pts}
-    a, b = base.points[0], base.points[sp.n]
-    table[a], table[b] = b, a
-    swapped = PointMap(sp, sp, table)
     with pytest.raises(ReconstructionError) as excinfo:
-        reconstruct(induce(swapped, 0))
+        reconstruct(induce(swapped_point_map(small_space), 0))
     cert = excinfo.value.certificate
     names = [c["name"] for rec in cert["levels"] for c in rec["checks"] if not c["pass"]]
     assert names == ["orthogonality-both-ways"]
