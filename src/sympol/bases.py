@@ -29,7 +29,7 @@ from sympol.errors import (
     SpaceMismatchError,
 )
 from sympol.linalg import normalize_point, vec_add, vec_scale
-from sympol.space import BASE_GRID, SymplecticSpace, bits
+from sympol.space import BASE_GRID, SymplecticSpace, bits, image_mask
 
 
 class SymplecticBase:
@@ -214,19 +214,31 @@ class PointMap:
         return PointMap(self.target, self.source, {y: x for x, y in self.table.items()})
 
     def orthogonality_witness(self):
-        """The first point pair on which orthogonality flips, or None; cached."""
+        """The first point pair on which orthogonality flips, or None; cached.
+
+        Pairs (x, y) are ordered by the source point indices i < j of x
+        and y.  Row i of the source ortho_masks, carried through the
+        point table, is compared with the target row of x's image; the
+        first row that differs holds the first flipping pair, because the
+        flip relation is symmetric and never holds on the diagonal, so
+        its earliest flip lies at some j > i.
+        """
         if self._witness is _UNSCANNED:
             pts = self.source.all_points()
-            src, tgt, table = self.source, self.target, self.table
-            self._witness = next(
-                (
-                    (x, y)
-                    for i, x in enumerate(pts)
-                    for y in pts[i + 1 :]
-                    if (src.omega(x, y) == 0) != (tgt.omega(table[x], table[y]) == 0)
-                ),
-                None,
-            )
+            index = self.target.point_index()
+            to = [index[self.table[x]] for x in pts]
+            back = [0] * len(to)
+            for i, t in enumerate(to):
+                back[t] = i
+            tgt_rows = self.target.ortho_masks()
+            self._witness = None
+            for i, row in enumerate(self.source.ortho_masks()):
+                flips = image_mask(row, to) ^ tgt_rows[to[i]]
+                if flips:
+                    above = image_mask(flips, back) >> (i + 1)
+                    j = i + (above & -above).bit_length()
+                    self._witness = (pts[i], pts[j])
+                    break
         return self._witness
 
     def preserves_orthogonality(self) -> bool:

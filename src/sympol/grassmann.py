@@ -272,21 +272,33 @@ def grassmannian_size(n, p, k):
     return num // den
 
 
+@lru_cache(maxsize=None)
+def _functionals(p, m):
+    """The points of PG(m-1, p), one per hyperplane of an m-dimensional space."""
+    return Subspace.full(p, m).points()
+
+
 def hyperplanes_of(s: Subspace):
-    """All subspaces of s with pdim one less, canonical and sorted."""
+    """All subspaces of s with pdim one less, canonical and sorted.
+
+    Each hyperplane is the kernel of a functional on the coordinates of
+    s, mapped back into the ambient space through s's rows.
+    """
     m = s.vdim
     if m == 0:
         raise DimensionError("the empty subspace has no hyperplanes")
-    p = s.p
+    p, rows, width = s.p, s.rows, s.ambient
     out = set()
-    for phi in Subspace.full(p, m).points():
-        coeffs = _kernels.nullspace((phi,), m, p)
-        vecs = [
-            tuple(sum(c[i] * s.rows[i][j] for i in range(m)) % p for j in range(s.ambient))
-            for c in coeffs
-        ]
-        out.add(_kernels.rref(vecs, s.ambient, p))
-    return tuple(Subspace(p, s.ambient, rows) for rows in sorted(out))
+    for phi in _functionals(p, m):
+        vecs = []
+        for coeffs in _kernels.nullspace((phi,), m, p):
+            v = [0] * width
+            for c, row in zip(coeffs, rows):
+                if c:
+                    v = [a + c * b for a, b in zip(v, row)]
+            vecs.append([a % p for a in v])
+        out.add(_kernels.rref(vecs, width, p))
+    return tuple(Subspace(p, width, r) for r in sorted(out))
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,12 @@ resulting point map with a machine-checkable report.
 descend and induce do no row reduction per map: the meet of a star's
 images is the AND of their hyper_masks rows, and the member spanned by
 a member's image points is the AND of their through_masks rows, each
-accepted only when exactly one bit is left.  check_top_transport stays
-geometric, as the independent check on each descent step.
+accepted only when exactly one bit is left.  check_top_transport, the
+independent check on each descent step, still lists every source
+member's hyperplanes geometrically with hyperplanes_of, but reads the
+containment of each hyperplane's image off the image member's
+hyper_masks row.  The final orthogonality check compares ortho_masks
+rows through the point table (PointMap.orthogonality_witness).
 """
 
 from itertools import combinations
@@ -333,13 +337,20 @@ def descend(f: GrassmannianMap) -> GrassmannianMap:
 
 
 def check_top_transport(f: GrassmannianMap, g: GrassmannianMap) -> int:
-    """Images of a member's hyperplanes stay inside the member's image."""
+    """Images of a member's hyperplanes stay inside the member's image.
+
+    The hyperplanes of each source member are listed geometrically by
+    hyperplanes_of.  A totally isotropic image of pdim k - 1 lies in the
+    member's image of pdim k exactly when it is one of that image's
+    hyperplanes, so containment is one bit of the image's hyper_masks
+    row.  Returns the number of (member, hyperplane) pairs checked.
+    """
+    hyper = hyper_masks(f.target.space, f.target.k)
     count = 0
     for ni, s in enumerate(f.source.elements):
-        image = f.target.elements[f.table[ni]]
+        row = hyper[f.table[ni]]
         for m in hyperplanes_of(s):
-            lower = g.target.elements[g.table[g.source.index_of(m)]]
-            if not image.contains(lower):
+            if not row >> g.table[g.source.index_of(m)] & 1:
                 raise DescentError(
                     "hyperplane image escapes the member image", level=g.source.k, witness=(s, m)
                 )

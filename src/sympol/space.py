@@ -118,18 +118,34 @@ class SymplecticSpace:
         return self._point_index
 
     def ortho_masks(self):
-        """Bitmask per point index of the points orthogonal to it."""
+        """Bitmask per point index of the points orthogonal to it.
+
+        Folded from residue classes, with no pairwise form evaluation:
+        coord[j][v] is the mask of the points whose coordinate j is v.
+        Folding a point's form_row through them one coordinate at a time
+        keeps acc[r], the mask of the points y with partial form value r,
+        and the row is acc[0] at the end.
+        """
         if self._ortho_masks is None:
-            pts = self.all_points()
-            rows = [self.form_row(x) for x in pts]
+            p, pts = self.p, self.all_points()
+            coord = [[0] * p for _ in range(self.dim)]
+            for i, y in enumerate(pts):
+                bit = 1 << i
+                for j, v in enumerate(y):
+                    coord[j][v] |= bit
+            everything = (1 << len(pts)) - 1
             masks = []
-            for fr in rows:
-                m = 0
-                p = self.p
-                for j, y in enumerate(pts):
-                    if sum(a * b for a, b in zip(fr, y)) % p == 0:
-                        m |= 1 << j
-                masks.append(m)
+            for x in pts:
+                acc = [everything] + [0] * (p - 1)
+                for c, classes in zip(self.form_row(x), coord):
+                    if c:
+                        nxt = [0] * p
+                        for v, cls in enumerate(classes):
+                            shift = c * v
+                            for r, m in enumerate(acc):
+                                nxt[(r + shift) % p] |= m & cls
+                        acc = nxt
+                masks.append(acc[0])
             self._ortho_masks = tuple(masks)
         return self._ortho_masks
 

@@ -13,7 +13,7 @@ from math import comb
 
 from sympol.bases import SymplecticBase, enumerate_all_bases, perturb_pair
 from sympol.errors import DegenerateParameterError, DimensionError
-from sympol.grassmann import grassmannian, through_masks
+from sympol.grassmann import through_masks
 from sympol.linalg import (
     Subspace,
     extend_basis,
@@ -429,8 +429,9 @@ def maximal_inexact_oracle(bs: BaseSubset):
     exactly the maximal proper intersections.
     """
     space = bs.base.space
-    gr = grassmannian(space, bs.k)
-    home = member_mask(bs, bs.index_sets)
+    home_bits = member_bits(bs.base, bs.k, bs.index_sets)
+    home = sum(home_bits)
+    member_of = {bit.bit_length() - 1: i for bit, i in zip(home_bits, bs.index_sets)}
     seen = set()
     for cover in subset_universe(space, bs.k):
         overlap = home & cover
@@ -440,9 +441,7 @@ def maximal_inexact_oracle(bs: BaseSubset):
     for mask in sorted(seen, key=lambda m: -m.bit_count()):
         if not any(mask | kept == kept for kept in keep):
             keep.append(mask)
-    collections = (
-        frozenset(bs.index_set_of(gr.elements[b]) for b in bits(mask)) for mask in keep
-    )
+    collections = (frozenset(member_of[b] for b in bits(mask)) for mask in keep)
     return tuple(sorted(collections, key=_collection_key))
 
 

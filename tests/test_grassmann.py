@@ -143,6 +143,18 @@ def test_hyperplanes(small_space):
         hyperplanes_of(Subspace.empty(sp.p, sp.dim))
 
 
+# hyperplanes_of is the reference star_table and hyper_masks are tested
+# against; here it is checked against the full list of subspaces one
+# dimension down, filtered by containment.
+@pytest.mark.parametrize("n,p", BASE_GRID + ((2, 5),))
+def test_hyperplanes_match_all_subspaces(n, p):
+    sp = SymplecticSpace.standard(n, p)
+    for k in range(1, sp.n):
+        below = all_subspaces(sp, k - 1)
+        for s in grassmannian(sp, k):
+            assert hyperplanes_of(s) == tuple(sorted(u for u in below if s.contains(u)))
+
+
 def test_star_membership_and_size(small_space):
     sp = small_space
     for k in range(1, sp.n):

@@ -29,7 +29,7 @@ from sympol.recon import (
     reconstruct,
     type1_position_map,
 )
-from sympol.space import SymplecticSpace
+from sympol.space import BASE_GRID, SymplecticSpace
 from sympol.subsets import BaseSubset, maximal_inexact_families
 
 
@@ -294,6 +294,46 @@ def test_top_transport_counts(small_space):
         assert check_top_transport(f, g) == len(f.source) * hyp
 
 
+def top_transport_reference(f, g):
+    """check_top_transport with containment tested by Subspace.contains."""
+    count = 0
+    for ni, s in enumerate(f.source.elements):
+        image = f.target.elements[f.table[ni]]
+        for m in hyperplanes_of(s):
+            lower = g.target.elements[g.table[g.source.index_of(m)]]
+            if not image.contains(lower):
+                raise DescentError(
+                    "hyperplane image escapes the member image", level=g.source.k, witness=(s, m)
+                )
+            count += 1
+    return count
+
+
+def test_top_transport_matches_containment(small_space):
+    # Collineations pass with the reference's count; a lower table with two
+    # entries swapped sends some hyperplane outside its member's image, and
+    # both routes must stop at the same (member, hyperplane) pair.
+    sp = small_space
+    for seed in (61, 62):
+        h = random_collineation(sp, seed)
+        for k in range(1, sp.n):
+            f, g = induce(h, k), induce(h, k - 1)
+            assert check_top_transport(f, g) == top_transport_reference(f, g)
+            last = len(g.table) - 1
+            for a, b in ((0, 1), (last // 2, last)):
+                table = list(g.table)
+                table[a], table[b] = table[b], table[a]
+                bad = GrassmannianMap(g.source, g.target, table)
+                with pytest.raises(DescentError) as want:
+                    top_transport_reference(f, bad)
+                with pytest.raises(DescentError) as got:
+                    check_top_transport(f, bad)
+                assert str(got.value) == str(want.value)
+                assert str(got.value) == "hyperplane image escapes the member image"
+                assert got.value.level == want.value.level == k - 1
+                assert got.value.witness == want.value.witness
+
+
 def test_identify_base_subset(small_space):
     sp = small_space
     base = random_base(sp, 77)
@@ -310,17 +350,51 @@ def test_identify_base_subset(small_space):
         identify_base_subset(sp, 0, wrong)
 
 
-def test_orthogonality_witness(small_space):
-    sp = small_space
+def orthogonality_witness_reference(h):
+    """The first flipping pair of the O(P^2) scan over point indices i < j."""
+    src, tgt, table = h.source, h.target, h.table
+    pts = src.all_points()
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            if (src.omega(x, y) == 0) != (tgt.omega(table[x], table[y]) == 0):
+                return (x, y)
+    return None
+
+
+WITNESS_GRID = BASE_GRID + ((2, 5), (3, 3))
+
+
+@pytest.mark.parametrize("n,p", WITNESS_GRID, ids=[f"n{n}p{p}" for n, p in WITNESS_GRID])
+def test_orthogonality_witness(n, p):
+    # Swaps at the front, the back and the middle of the point order, one
+    # of the standard hyperbolic pair, and one after a collineation, so the
+    # first flipping row and its first column vary.
+    sp = SymplecticSpace.standard(n, p)
     h = random_collineation(sp, 2)
     assert h.orthogonality_witness() is None
+    assert orthogonality_witness_reference(h) is None
     pts = sp.all_points()
     base = SymplecticBase.standard(sp)
-    table = {x: x for x in pts}
-    a, b = base.points[0], base.points[sp.n]
-    table[a], table[b] = b, a
-    x, y = PointMap(sp, sp, table).orthogonality_witness()
-    assert (sp.omega(x, y) == 0) != (sp.omega(table[x], table[y]) == 0)
+    size = len(pts)
+    swaps = (
+        (pts[0], pts[1]),
+        (pts[size // 3], pts[2 * size // 3]),
+        (pts[-2], pts[-1]),
+        (base.points[0], base.points[sp.n]),
+    )
+    maps = []
+    for a, b in swaps:
+        table = {x: x for x in pts}
+        table[a], table[b] = b, a
+        maps.append(PointMap(sp, SymplecticSpace(n, p), table))
+    table = dict(h.table)
+    table[pts[5]], table[pts[-7]] = table[pts[-7]], table[pts[5]]
+    maps.append(PointMap(sp, sp, table))
+    for bad in maps:
+        want = orthogonality_witness_reference(bad)
+        assert want is not None
+        assert bad.orthogonality_witness() == want
+        assert not bad.preserves_orthogonality()
 
 
 def assert_certificate_shape(cert, space, k):

@@ -4,7 +4,7 @@ import pytest
 
 from sympol.errors import DimensionError, FeasibilityError
 from sympol.linalg import Subspace
-from sympol.space import SymplecticSpace
+from sympol.space import ENUM_GRID, SymplecticSpace
 
 
 def unit(dim, i):
@@ -73,13 +73,17 @@ def test_total_isotropy(small_space):
     assert coords.pdim == n - 1
 
 
-def test_ortho_masks_match_form(small_space):
-    sp = small_space
+# Every pair, against omega itself: the masks are folded from residue
+# classes of coordinates and share no code with omega.
+@pytest.mark.parametrize("n,p", ENUM_GRID, ids=[f"n{n}p{p}" for n, p in ENUM_GRID])
+def test_ortho_masks_match_form(n, p):
+    sp = SymplecticSpace(n, p)
     pts = sp.all_points()
     masks = sp.ortho_masks()
-    for i in range(0, len(pts), 7):
-        for j in range(0, len(pts), 11):
-            assert bool(masks[i] >> j & 1) == (sp.omega(pts[i], pts[j]) == 0)
+    assert len(masks) == len(pts)
+    for i, x in enumerate(pts):
+        want = sum(1 << j for j, y in enumerate(pts) if sp.omega(x, y) == 0)
+        assert masks[i] == want
 
 
 def test_check_rejects_foreign_subspaces(small_space):
