@@ -857,6 +857,8 @@ def cmd_verify(cfg):
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     if cfg.k is not None and not 0 <= cfg.k < cfg.n:
         return _usage(f"k must lie in 0..{cfg.n - 1}")
+    if cfg.trials is not None and cfg.trials < 1:
+        return _usage(f"--trials must be at least 1, got {cfg.trials}")
     if cfg.seed is None and any(SUITES[n].randomized for n in names):
         return _usage("randomized suites need --seed for reproducibility")
     entries = []

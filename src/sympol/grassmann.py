@@ -29,6 +29,8 @@ pair_relation reads them, with no pairwise geometry.  The predicates
 adjacent and ortho_adjacent compute the relations from the subspaces
 themselves, hyperplanes_of the stars, and all_subspaces the layers;
 they serve as the independent references the tests compare against.
+hyperplanes_of reads no layer table: it maps the hyperplanes of
+GF(p)^m, built once per (p, m), through a member's canonical rows.
 
 through_masks records point-member incidence as one bitmask of G_k
 indices per point, so a member spanned by known points is found by
@@ -273,32 +275,41 @@ def grassmannian_size(n, p, k):
 
 
 @lru_cache(maxsize=None)
-def _functionals(p, m):
-    """The points of PG(m-1, p), one per hyperplane of an m-dimensional space."""
-    return Subspace.full(p, m).points()
+def _coordinate_hyperplanes(p, m):
+    """Canonical bases of the hyperplanes of GF(p)^m, one per point phi of
+    PG(m-1, p) in the global order: the kernel of the functional phi."""
+    return tuple(_kernels.nullspace((phi,), m, p) for phi in Subspace.full(p, m).points())
 
 
 def hyperplanes_of(s: Subspace):
     """All subspaces of s with pdim one less, canonical and sorted.
 
-    Each hyperplane is the kernel of a functional on the coordinates of
-    s, mapped back into the ambient space through s's rows.
+    Each hyperplane of GF(p)^m (m = vdim s) has a canonical coefficient
+    basis C, built once per (p, m); its image in s has the rows C.S,
+    where S is s's rows.  C.S needs no row reduction: S's columns at its
+    pivot columns c_1 < ... < c_m form the identity, so C.S restricted
+    to those columns is C itself, and each row of C.S vanishes left of
+    c_j for the leading column j of the same row of C.  So C.S is
+    reduced row echelon with pivots taken from C.  Distinct functionals
+    have distinct kernels, so the images are distinct.  Reads no layer
+    table: the tests compare star_table and hyper_masks against it.
     """
     m = s.vdim
     if m == 0:
         raise DimensionError("the empty subspace has no hyperplanes")
     p, rows, width = s.p, s.rows, s.ambient
-    out = set()
-    for phi in _functionals(p, m):
-        vecs = []
-        for coeffs in _kernels.nullspace((phi,), m, p):
+    out = []
+    for basis in _coordinate_hyperplanes(p, m):
+        hyp = []
+        for coeffs in basis:
             v = [0] * width
             for c, row in zip(coeffs, rows):
                 if c:
                     v = [a + c * b for a, b in zip(v, row)]
-            vecs.append([a % p for a in v])
-        out.add(_kernels.rref(vecs, width, p))
-    return tuple(Subspace(p, width, r) for r in sorted(out))
+            hyp.append(tuple(a % p for a in v))
+        out.append(tuple(hyp))
+    out.sort()
+    return tuple(Subspace(p, width, r) for r in out)
 
 
 @lru_cache(maxsize=None)

@@ -10,11 +10,13 @@ descend and induce do no row reduction per map: the meet of a star's
 images is the AND of their hyper_masks rows, and the member spanned by
 a member's image points is the AND of their through_masks rows, each
 accepted only when exactly one bit is left.  check_top_transport, the
-independent check on each descent step, still lists every source
-member's hyperplanes geometrically with hyperplanes_of, but reads the
-containment of each hyperplane's image off the image member's
-hyper_masks row.  The final orthogonality check compares ortho_masks
-rows through the point table (PointMap.orthogonality_witness).
+check on each descent step, still lists every source member's
+hyperplanes geometrically with hyperplanes_of (the coordinate
+hyperplanes of GF(p)^m mapped through the member's rows, with no row
+reduction), and reads the containment of each hyperplane's image off
+the image member's hyper_masks row.  The final orthogonality check
+compares ortho_masks rows through the point table
+(PointMap.orthogonality_witness).
 """
 
 from itertools import combinations
@@ -344,6 +346,14 @@ def check_top_transport(f: GrassmannianMap, g: GrassmannianMap) -> int:
     member's image of pdim k exactly when it is one of that image's
     hyperplanes, so containment is one bit of the image's hyper_masks
     row.  Returns the number of (member, hyperplane) pairs checked.
+
+    Inside reconstruct this check cannot fail when star_table is
+    correct: descend maps each m to the one hyperplane shared by the
+    images of m's star, and s contains m exactly when s lies in that
+    star, so every bit tested here is set by construction.  It stays as
+    a check of descend against the geometric hyperplanes; dropping or
+    replacing it waits on the benchmark change that stops requiring
+    per-op hyperplanes_of calls in the traced roundtrip run.
     """
     hyper = hyper_masks(f.target.space, f.target.k)
     count = 0

@@ -96,6 +96,17 @@ def test_verify_requires_seed(run, tmp_path):
     assert run("verify", "--n", 2, "--p", 2, "--suite", "sizes", "--out", tmp_path / "r.json") == 2
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_rejects_trials_below_one(run, tmp_path, capsys, trials):
+    out = tmp_path / "r.json"
+    args = ("verify", "--n", 2, "--p", 2, "--suite", "round-trip", "--seed", "a")
+    assert run(*args, "--trials", trials, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "r.csv").exists()
+
+
 def test_verify_infeasible_grid_skips(run, tmp_path):
     out = tmp_path / "r.json"
     code = run("verify", "--n", 3, "--p", 3, "--suite", "classification", "--seed", "s", "--out", out)

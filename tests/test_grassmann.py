@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sympol import grassmann
+from sympol import _kernels, grassmann
 from sympol.errors import DimensionError
 from sympol.grassmann import (
     adjacency_masks,
@@ -25,7 +25,7 @@ from sympol.grassmann import (
     top_index_sets,
 )
 from sympol.linalg import Subspace
-from sympol.space import BASE_GRID, SymplecticSpace
+from sympol.space import BASE_GRID, ENUM_GRID, SymplecticSpace
 
 
 def layers(space):
@@ -153,6 +153,43 @@ def test_hyperplanes_match_all_subspaces(n, p):
         below = all_subspaces(sp, k - 1)
         for s in grassmannian(sp, k):
             assert hyperplanes_of(s) == tuple(sorted(u for u in below if s.contains(u)))
+
+
+def _hyperplanes_by_row_reduction(s):
+    """The per-functional route: the kernel of each functional on s's
+    coordinates, mapped into the ambient space and row reduced."""
+    p, m, width = s.p, s.vdim, s.ambient
+    out = set()
+    for phi in Subspace.full(p, m).points():
+        vecs = [
+            [sum(c * row[j] for c, row in zip(coeffs, s.rows)) % p for j in range(width)]
+            for coeffs in _kernels.nullspace((phi,), m, p)
+        ]
+        out.add(_kernels.rref(vecs, width, p))
+    return tuple(Subspace(p, width, r) for r in sorted(out))
+
+
+# hyperplanes_of maps each coordinate hyperplane through s's rows with no
+# row reduction; the route above reduces every image.
+@pytest.mark.parametrize("n,p", ENUM_GRID)
+def test_hyperplanes_match_row_reduction(n, p):
+    sp = SymplecticSpace.standard(n, p)
+    for k in range(1, sp.n):
+        for s in grassmannian(sp, k):
+            hyps = hyperplanes_of(s)
+            assert hyps == _hyperplanes_by_row_reduction(s)
+            assert all(h.rows == _kernels.rref(h.rows, h.ambient, h.p) for h in hyps)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_coordinate_hyperplanes(p, m):
+    table = grassmann._coordinate_hyperplanes(p, m)
+    assert len(set(table)) == len(table) == (p**m - 1) // (p - 1)
+    for phi, basis in zip(Subspace.full(p, m).points(), table):
+        assert len(basis) == m - 1
+        assert basis == _kernels.rref(basis, m, p)
+        assert all(sum(a * b for a, b in zip(phi, row)) % p == 0 for row in basis)
 
 
 def test_star_membership_and_size(small_space):

@@ -12,7 +12,7 @@ from sympol.errors import (
     RecognitionError,
     ReconstructionError,
 )
-from sympol.grassmann import grassmannian, hyper_masks, hyperplanes_of
+from sympol.grassmann import grassmannian, grassmannian_size, hyper_masks, hyperplanes_of
 from sympol.linalg import Subspace, intersect_all
 from sympol.recon import (
     GrassmannianMap,
@@ -424,6 +424,32 @@ def test_reconstruct_round_trip(small_space):
             if k > 0:
                 assert "star-intersections" in names
                 assert "hyperplane-containment" in names
+
+
+# No other in-process round trip reaches p = 5 or the layers of (3, 3).
+BEYOND_BASE_GRID = ((2, 5, 0), (2, 5, 1), (3, 3, 1), (3, 3, 2))
+
+
+@pytest.mark.parametrize("n,p,k", BEYOND_BASE_GRID)
+def test_reconstruct_round_trip_beyond_base_grid(n, p, k):
+    sp = SymplecticSpace.standard(n, p)
+    # level j checks every hyperplane of every member of G_(j+1)
+    want = {
+        j: grassmannian_size(n, p, j + 1) * (p ** (j + 2) - 1) // (p - 1) for j in range(k)
+    }
+    for seed in range(2):
+        h = random_collineation(sp, seed)
+        pm, cert = reconstruct(induce(h, k))
+        assert pm == h
+        assert cert["pass"]
+        assert_certificate_shape(cert, sp, k)
+        counts = {
+            rec["level"]: c["count"]
+            for rec in cert["levels"]
+            for c in rec["checks"]
+            if c["name"] == "hyperplane-containment"
+        }
+        assert counts == want
 
 
 def test_reconstruct_rejects_corrupted_table(small_space):
