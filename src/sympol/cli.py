@@ -27,6 +27,7 @@ from math import comb
 from sympol.bases import SymplecticBase, random_base, random_collineation
 from sympol.errors import (
     DimensionError,
+    FeasibilityError,
     MapCheckError,
     RecognitionError,
     ReconstructionError,
@@ -174,6 +175,7 @@ def run_sizes(cfg, rng):
     "common-base",
     "any two totally isotropic subspaces lie in a common symplectic base",
     randomized=True,
+    grid=ENUM_GRID,
     default_trials=1000,
 )
 def run_common_base(cfg, rng):
@@ -854,6 +856,10 @@ def cmd_enumerate(cfg):
 
 
 def cmd_verify(cfg):
+    try:
+        SymplecticSpace.standard(cfg.n, cfg.p)
+    except FeasibilityError as exc:
+        return _usage(str(exc))
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     if cfg.k is not None and not 0 <= cfg.k < cfg.n:
         return _usage(f"k must lie in 0..{cfg.n - 1}")

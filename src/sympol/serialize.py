@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 
-from sympol.errors import SchemaError
+from sympol.errors import FeasibilityError, SchemaError
 from sympol.linalg import Subspace
 from sympol.space import SymplecticSpace
 
@@ -74,7 +74,10 @@ def parse_space(obj, where="space") -> SymplecticSpace:
     form = _need(obj, "form", str, where)
     if form != "standard":
         raise SchemaError(f"{where}: unknown form {form!r}")
-    return SymplecticSpace.standard(n, p)
+    try:
+        return SymplecticSpace.standard(n, p)
+    except FeasibilityError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def encode_subspace(s: Subspace):

@@ -5,6 +5,14 @@ in each Grassmannian layer.  This module builds those families by index
 bookkeeping, decides which subcollections pin down the spanning base,
 and constructs the maximal collections that do not, together with their
 complements and the counting invariants attached to both.
+
+The exactness oracle scans subset_universe, every base subset of a
+layer as a bitmask.  Each mask is a threshold count over through_masks
+rows: a totally isotropic member holds at most one point of each
+partner pair, since partners are non-orthogonal, and at most k + 1 of
+the independent base points, exactly k + 1 only as their span.  So a
+member lies in the base subset exactly when it meets k + 1 of the n
+partner-pair unions, and no index set is visited per base.
 """
 
 from functools import lru_cache
@@ -386,15 +394,37 @@ def subset_universe(space: SymplecticSpace, k):
     """Bitmask of every base subset of the layer, one per symplectic base.
 
     Aligned with enumerate_all_bases, so the same feasibility grid
-    applies.  Each member's bit is the AND of the through_masks entries
-    of its base points (see member_bits), so no row reduction runs per
-    base.
+    applies.  Read off as a threshold count, with no loop over index
+    sets: partners are non-orthogonal, so a totally isotropic member
+    holds at most one point of each partner pair, and the 2n base points
+    are independent, so a member of G_k holds at most k + 1 of them and
+    holds exactly k + 1 only when it is their span.  A member therefore
+    lies in the base subset exactly when it meets k + 1 of the n pair
+    unions through[a] | through[sigma a]; a running counter k + 1 deep
+    over those rows gives the mask.  Enumerated base points come from
+    space.all_points(), so they index through_masks with no
+    normalization.
     """
+    through = through_masks(space, k)
+    index = space.point_index()
+    size = base_subset_size(space.n, k)
+    deeper = range(k, 0, -1)
     masks = []
-    for base in enumerate_all_bases(space):
-        mask = 0
-        for bit in member_bits(base, k, admissible_index_sets(base.sigma, k)):
-            mask |= bit
+    for number, base in enumerate(enumerate_all_bases(space)):
+        pts = base.points
+        # at_least[j]: members meeting at least j + 1 pair unions so far
+        at_least = [0] * (k + 1)
+        for a, b in enumerate(base.sigma):
+            if a < b:
+                row = through[index[pts[a]]] | through[index[pts[b]]]
+                for j in deeper:
+                    at_least[j] |= at_least[j - 1] & row
+                at_least[0] |= row
+        mask = at_least[k]
+        if mask.bit_count() != size:
+            raise RuntimeError(
+                f"base {number} meets {mask.bit_count()} members of G_{k}, not {size}"
+            )
         masks.append(mask)
     return tuple(masks)
 
@@ -432,11 +462,8 @@ def maximal_inexact_oracle(bs: BaseSubset):
     home_bits = member_bits(bs.base, bs.k, bs.index_sets)
     home = sum(home_bits)
     member_of = {bit.bit_length() - 1: i for bit, i in zip(home_bits, bs.index_sets)}
-    seen = set()
-    for cover in subset_universe(space, bs.k):
-        overlap = home & cover
-        if overlap != home:
-            seen.add(overlap)
+    seen = {home & cover for cover in subset_universe(space, bs.k)}
+    seen.discard(home)
     keep = []
     for mask in sorted(seen, key=lambda m: -m.bit_count()):
         if not any(mask | kept == kept for kept in keep):

@@ -92,6 +92,45 @@ def test_verify_all_report_bytes_are_pinned(run, tmp_path):
         assert hashlib.sha256(read_bytes(out.with_suffix(suffix))).hexdigest() == digest
 
 
+# SHA-256 digests of the (3, 2) `verify --suite classification --seed s1`
+# report pair, recorded before the subset universe became a threshold
+# count; the exhaustive oracle behind this suite reads that universe.
+VERIFY_CLASSIFICATION_S1_N3_P2 = {
+    ".json": "88c5aeea7c8852a310c30c944a62a5e0f69e05e7a4dc6f638dfdd5c7e8b689da",
+    ".csv": "2bed7bb21761435232cd2e2177762dbb61f31b7bf633fdc98530eb7e5291b938",
+}
+
+
+def test_verify_classification_report_bytes_are_pinned(run, tmp_path):
+    out = tmp_path / "report.json"
+    args = ("verify", "--n", 3, "--p", 2, "--suite", "classification", "--seed", "s1")
+    assert run(*args, "--out", out) == 0
+    for suffix, digest in VERIFY_CLASSIFICATION_S1_N3_P2.items():
+        assert hashlib.sha256(read_bytes(out.with_suffix(suffix))).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,p", [(2, 4), (2, 1), (0, 2)])
+def test_verify_rejects_unsupported_space(run, tmp_path, capsys, n, p):
+    out = tmp_path / "r.json"
+    args = ("verify", "--n", n, "--p", p, "--suite", "all", "--seed", "s")
+    assert run(*args, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_verify_common_base_skips_outside_enum_grid(run, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    args = ("verify", "--n", 4, "--p", 3, "--suite", "common-base", "--seed", "s")
+    assert run(*args, "--out", out) == 2
+    report = json.loads(read_bytes(out))
+    [entry] = report["entries"]
+    assert entry["skipped"] and entry["check"] == "feasibility"
+    assert "SKIP common-base.feasibility" in capsys.readouterr().out
+    assert not (tmp_path / "cache").exists()
+
+
 def test_verify_requires_seed(run, tmp_path):
     assert run("verify", "--n", 2, "--p", 2, "--suite", "sizes", "--out", tmp_path / "r.json") == 2
 
@@ -211,6 +250,27 @@ def test_reconstruct_failure_writes_certificate(run, tmp_path):
         if not c["pass"]
     ]
     assert names
+
+
+@pytest.mark.parametrize("field,value", [("p", 4), ("n", 1)])
+def test_induce_and_reconstruct_reject_unsupported_headers(run, tmp_path, capsys, field, value):
+    h_path = tmp_path / "h.json"
+    f_path = tmp_path / "f.json"
+    assert run("random-collineation", "--n", 2, "--p", 2, "--seed", "u", "--out", h_path) == 0
+    assert run("induce", "--map", h_path, "--k", 1, "--out", f_path) == 0
+    capsys.readouterr()
+    point_map = json.loads(read_bytes(h_path))
+    point_map["space"][field] = value
+    atomic_write_json(h_path, point_map)
+    assert run("induce", "--map", h_path, "--k", 1, "--out", tmp_path / "g.json") == 2
+    assert capsys.readouterr().err.startswith("error: point map.space: ")
+    layer_map = json.loads(read_bytes(f_path))
+    layer_map["source"][field] = value
+    atomic_write_json(f_path, layer_map)
+    args = ("--out", tmp_path / "b.json", "--certificate", tmp_path / "c.json")
+    assert run("reconstruct", "--map", f_path, *args) == 2
+    assert capsys.readouterr().err.startswith("error: map.source: ")
+    assert not any((tmp_path / name).exists() for name in ("g.json", "b.json", "c.json"))
 
 
 def test_reconstruct_rejects_malformed_schema(run, tmp_path, capsys):

@@ -5,13 +5,15 @@ from math import comb
 
 import pytest
 
+from sympol import subsets
 from sympol.bases import SymplecticBase, enumerate_all_bases, is_symplectic_base, random_base
 from sympol.errors import DegenerateParameterError, DimensionError
-from sympol.grassmann import adjacent, grassmannian
+from sympol.grassmann import adjacent, grassmannian, through_masks
 from sympol.linalg import Subspace, vec_scale
-from sympol.space import SymplecticSpace
+from sympol.space import BASE_GRID, SymplecticSpace
 from sympol.subsets import (
     BaseSubset,
+    admissible_index_sets,
     base_subset_size,
     canonical_type2,
     certify_inexact,
@@ -33,6 +35,7 @@ from sympol.subsets import (
     maximal_inexact_oracle,
     meet_at,
     meet_at_subspace,
+    member_bits,
     member_mask,
     ordered_type2_params,
     pins_every_point,
@@ -410,6 +413,41 @@ def test_subset_universe_matches_span_route(n, p, stride):
         universe = subset_universe(sp, k)
         for i in range(0, len(bases), stride):
             assert universe[i] == span_route_mask(bases[i], k)
+
+
+def index_set_route_mask(base, k):
+    """Base subset mask as the OR of one AND per admissible index set:
+    the universe build before the threshold count (reference)."""
+    mask = 0
+    for bit in member_bits(base, k, admissible_index_sets(base.sigma, k)):
+        mask |= bit
+    return mask
+
+
+@pytest.mark.parametrize("n,p", BASE_GRID)
+def test_subset_universe_matches_index_set_route(n, p):
+    sp = SymplecticSpace.standard(n, p)
+    bases = enumerate_all_bases(sp)
+    for k in layers(sp):
+        assert subset_universe(sp, k) == tuple(index_set_route_mask(b, k) for b in bases)
+
+
+def test_subset_universe_rejects_a_corrupt_through_table(monkeypatch):
+    sp = SymplecticSpace.standard(2, 2)
+    k = 1
+    base = enumerate_all_bases(sp)[0]
+    home = index_set_route_mask(base, k)
+    through = list(through_masks(sp, k))
+    point = sp.point_index()[base.points[0]]
+    row = through[point] & home
+    through[point] &= ~(row & -row)
+    monkeypatch.setattr(subsets, "through_masks", lambda space, layer: tuple(through))
+    subset_universe.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="base 0 meets 3 members of G_1, not 4"):
+            subset_universe(sp, k)
+    finally:
+        subset_universe.cache_clear()
 
 
 def test_member_mask_normalizes_base_points():
