@@ -10,15 +10,16 @@ descend and induce do no row reduction per map: the meet of a star's
 images is the AND of their hyper_masks rows, and the member spanned by
 a member's image points is the AND of their through_masks rows, each
 accepted only when exactly one bit is left.  check_top_transport, the
-check on each descent step, still lists every source member's
-hyperplanes geometrically with hyperplanes_of (the coordinate
-hyperplanes of GF(p)^m mapped through the member's rows, with no row
-reduction), and reads the containment of each hyperplane's image off
-the image member's hyper_masks row.  The final orthogonality check
-compares ortho_masks rows through the point table
+check on each descent step, reads each source member's hyperplanes off
+hyperplane_table, which lists them geometrically with hyperplanes_of
+(the coordinate hyperplanes of GF(p)^m mapped through the member's
+rows) once per (space, k), and reads the containment of each
+hyperplane's image off the image member's hyper_masks row.  The final
+orthogonality check compares ortho_masks rows through the point table
 (PointMap.orthogonality_witness).
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from sympol.bases import PointMap, SymplecticBase
@@ -338,31 +339,51 @@ def descend(f: GrassmannianMap) -> GrassmannianMap:
     return GrassmannianMap(src_low, tgt_low, table)
 
 
+@lru_cache(maxsize=None)
+def hyperplane_table(space, k):
+    """For each member of G_k, the G_(k-1) indices of its hyperplanes.
+
+    Row s lists the hyperplanes_of of member s in the order it returns
+    them, located in G_(k-1) by index_of.  Built once per (space, k)
+    from the geometry alone, never from star_table or the mask tables,
+    so it stays an independent check of descend.
+    """
+    low = grassmannian(space, k - 1)
+    return tuple(
+        tuple(low.index_of(m) for m in hyperplanes_of(s)) for s in grassmannian(space, k).elements
+    )
+
+
 def check_top_transport(f: GrassmannianMap, g: GrassmannianMap) -> int:
     """Images of a member's hyperplanes stay inside the member's image.
 
-    The hyperplanes of each source member are listed geometrically by
-    hyperplanes_of.  A totally isotropic image of pdim k - 1 lies in the
-    member's image of pdim k exactly when it is one of that image's
-    hyperplanes, so containment is one bit of the image's hyper_masks
-    row.  Returns the number of (member, hyperplane) pairs checked.
+    The hyperplanes of each source member are read off hyperplane_table,
+    whose geometry runs once per (space, k).  A totally isotropic image
+    of pdim k - 1 lies in the member's image of pdim k exactly when it
+    is one of that image's hyperplanes, so containment is one bit of the
+    image's hyper_masks row.  Returns the number of (member, hyperplane)
+    pairs checked, and raises at the first pair that fails.
 
     Inside reconstruct this check cannot fail when star_table is
     correct: descend maps each m to the one hyperplane shared by the
     images of m's star, and s contains m exactly when s lies in that
     star, so every bit tested here is set by construction.  It stays as
-    a check of descend against the geometric hyperplanes; dropping or
-    replacing it waits on the benchmark change that stops requiring
-    per-op hyperplanes_of calls in the traced roundtrip run.
+    a check of descend against the geometric hyperplanes.
     """
+    k = f.source.k
+    if g.source.k != k - 1:
+        raise DimensionError("the lower map must sit one layer below")
     hyper = hyper_masks(f.target.space, f.target.k)
+    image, lower = f.table, g.table
     count = 0
-    for ni, s in enumerate(f.source.elements):
-        row = hyper[f.table[ni]]
-        for m in hyperplanes_of(s):
-            if not row >> g.table[g.source.index_of(m)] & 1:
+    for ni, row in enumerate(hyperplane_table(f.source.space, k)):
+        mask = hyper[image[ni]]
+        for mi in row:
+            if not mask >> lower[mi] & 1:
                 raise DescentError(
-                    "hyperplane image escapes the member image", level=g.source.k, witness=(s, m)
+                    "hyperplane image escapes the member image",
+                    level=k - 1,
+                    witness=(f.source.elements[ni], g.source.elements[mi]),
                 )
             count += 1
     return count

@@ -15,7 +15,7 @@ import tempfile
 
 from sympol.errors import FeasibilityError, SchemaError
 from sympol.linalg import Subspace
-from sympol.space import SymplecticSpace
+from sympol.space import ENUM_GRID, SymplecticSpace
 
 
 def dumps(obj) -> str:
@@ -80,6 +80,17 @@ def parse_space(obj, where="space") -> SymplecticSpace:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
+def _parse_map_space(obj, where) -> SymplecticSpace:
+    """parse_space, refusing an (n, p) outside ENUM_GRID before any layer
+    or point table for it is built."""
+    space = parse_space(obj, where)
+    if (space.n, space.p) not in ENUM_GRID:
+        raise SchemaError(
+            f"{where}: (n, p) = ({space.n}, {space.p}) is outside the supported grid {ENUM_GRID}"
+        )
+    return space
+
+
 def encode_subspace(s: Subspace):
     return {"p": s.p, "ambient": s.ambient, "rows": [list(r) for r in s.rows]}
 
@@ -130,8 +141,8 @@ def encode_point_map(h):
 def decode_point_map(obj, where="point map"):
     from sympol.bases import PointMap
 
-    source = parse_space(_need(obj, "space", dict, where), where + ".space")
-    target = parse_space(_need(obj, "target_space", dict, where), where + ".target_space")
+    source = _parse_map_space(_need(obj, "space", dict, where), where + ".space")
+    target = _parse_map_space(_need(obj, "target_space", dict, where), where + ".target_space")
     table = {}
     for entry in _need(obj, "pairs", list, where):
         if not isinstance(entry, list) or len(entry) != 2:
@@ -157,8 +168,10 @@ def decode_grassmannian_map(obj, where="map"):
 
     src_obj = _need(obj, "source", dict, where)
     tgt_obj = _need(obj, "target", dict, where)
-    source = grassmannian(parse_space(src_obj, where + ".source"), _need(src_obj, "k", int, where))
-    target = grassmannian(parse_space(tgt_obj, where + ".target"), _need(tgt_obj, "k", int, where))
+    src_space = _parse_map_space(src_obj, where + ".source")
+    tgt_space = _parse_map_space(tgt_obj, where + ".target")
+    source = grassmannian(src_space, _need(src_obj, "k", int, where))
+    target = grassmannian(tgt_space, _need(tgt_obj, "k", int, where))
     entries = _need(obj, "table", list, where)
     table = [None] * len(source)
     seen = 0

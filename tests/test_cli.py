@@ -9,19 +9,24 @@ import pytest
 
 from sympol import cli
 from sympol.bases import PointMap, SymplecticBase
+from sympol.recon import hyperplane_table
 from sympol.serialize import atomic_write_json, encode_point_map
 from sympol.space import SymplecticSpace
 
 
 @pytest.fixture()
 def run(tmp_path, monkeypatch):
+    # each test gets its own cache directory, so the hyperplane memo is
+    # rebuilt inside it as a fresh process would
     monkeypatch.setenv("SYMPOL_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.chdir(tmp_path)
 
     def invoke(*argv):
         return cli.main([str(a) for a in argv])
 
-    return invoke
+    hyperplane_table.cache_clear()
+    yield invoke
+    hyperplane_table.cache_clear()
 
 
 def read_bytes(path):
@@ -271,6 +276,61 @@ def test_induce_and_reconstruct_reject_unsupported_headers(run, tmp_path, capsys
     assert run("reconstruct", "--map", f_path, *args) == 2
     assert capsys.readouterr().err.startswith("error: map.source: ")
     assert not any((tmp_path / name).exists() for name in ("g.json", "b.json", "c.json"))
+
+
+def test_induce_and_reconstruct_reject_headers_outside_enum_grid(run, tmp_path, capsys):
+    # (4, 3) is a valid space, but its layers are far too large to build
+    header = {"n": 4, "p": 3, "form": "standard"}
+    point_map = tmp_path / "h.json"
+    atomic_write_json(point_map, {"space": header, "target_space": header, "pairs": []})
+    layer_map = tmp_path / "f.json"
+    atomic_write_json(
+        layer_map, {"source": header | {"k": 1}, "target": header | {"k": 1}, "table": []}
+    )
+    assert run("induce", "--map", point_map, "--k", 1, "--out", tmp_path / "g.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: point map.space: ") and err.count("\n") == 1
+    args = ("--out", tmp_path / "b.json", "--certificate", tmp_path / "c.json")
+    assert run("reconstruct", "--map", layer_map, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: map.source: ") and err.count("\n") == 1
+    assert not any((tmp_path / name).exists() for name in ("g.json", "b.json", "c.json", "cache"))
+
+
+# SHA-256 digests of the `reconstruct` embedding and certificate for
+# `random-collineation --seed s7` -> `induce` -> `reconstruct`, and of the
+# failing certificate for the same layer map with the images of its first
+# two members swapped; recorded before check_top_transport read a memoized
+# hyperplane table.  The embedding is the collineation file itself.
+RECONSTRUCT_S7 = {
+    (3, 3, 2): (
+        "9afd768e7285dec4e239cc37a31be7fbe1b3c125bcf47583eddf4002ce125ec9",
+        "e0f4adc9dccf694e03d7b646a479dd2a9527332f1b24bf06a0e6e264b17654a1",
+        "27e0790f107cc7ce6d7c8dc3c59c789da331531029d289749c983d8b75168dc5",
+    ),
+    (2, 5, 1): (
+        "5587fc564a065bfaabcae68023b5f0914581fb78df15660ad90d5a91cb2d421c",
+        "f889b0dbe4a588738ec402121a55eb6be393e46f070526e8668f6c9c63421e9f",
+        "4f1342a45242ed5e021f75eccddd096648c898145f7fc05a84420274367df9c4",
+    ),
+}
+
+
+@pytest.mark.parametrize("n,p,k", sorted(RECONSTRUCT_S7))
+def test_reconstruct_outputs_are_pinned(run, tmp_path, n, p, k):
+    embedding, certificate, swapped = RECONSTRUCT_S7[(n, p, k)]
+    h, f, e, c = (tmp_path / name for name in ("h.json", "f.json", "e.json", "c.json"))
+    assert run("random-collineation", "--n", n, "--p", p, "--seed", "s7", "--out", h) == 0
+    assert run("induce", "--map", h, "--k", k, "--out", f) == 0
+    assert run("reconstruct", "--map", f, "--out", e, "--certificate", c) == 0
+    assert hashlib.sha256(read_bytes(e)).hexdigest() == embedding
+    assert hashlib.sha256(read_bytes(c)).hexdigest() == certificate
+    payload = json.loads(read_bytes(f))
+    table = payload["table"]
+    table[0][1], table[1][1] = table[1][1], table[0][1]
+    atomic_write_json(f, payload)
+    assert run("reconstruct", "--map", f, "--out", e, "--certificate", c) == 1
+    assert hashlib.sha256(read_bytes(c)).hexdigest() == swapped
 
 
 def test_reconstruct_rejects_malformed_schema(run, tmp_path, capsys):

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from sympol import recon
 from sympol.bases import PointMap, SymplecticBase, random_base, random_collineation
 from sympol.errors import (
     DescentError,
@@ -23,13 +24,14 @@ from sympol.recon import (
     check_span_transport,
     check_top_transport,
     descend,
+    hyperplane_table,
     identify_base_subset,
     image_base,
     induce,
     reconstruct,
     type1_position_map,
 )
-from sympol.space import BASE_GRID, SymplecticSpace
+from sympol.space import BASE_GRID, ENUM_GRID, SymplecticSpace
 from sympol.subsets import BaseSubset, maximal_inexact_families
 
 
@@ -292,6 +294,36 @@ def test_top_transport_counts(small_space):
         g = induce(h, k - 1)
         hyp = (sp.p ** (k + 1) - 1) // (sp.p - 1)
         assert check_top_transport(f, g) == len(f.source) * hyp
+        with pytest.raises(DimensionError):
+            check_top_transport(f, f)
+
+
+@pytest.mark.parametrize("n,p", ENUM_GRID, ids=[f"n{n}p{p}" for n, p in ENUM_GRID])
+def test_hyperplane_table_is_the_geometric_one(n, p):
+    # row for row the hyperplanes_of lists, and inverted the hyper_masks
+    # rows that descend ANDs, which star_table builds another way
+    sp = SymplecticSpace.standard(n, p)
+    for k in range(1, n):
+        table = hyperplane_table(sp, k)
+        assert table == tuple(map(tuple, geometric_hyperplanes(sp, k)))
+        assert tuple(sum(1 << mi for mi in row) for row in table) == hyper_masks(sp, k)
+
+
+def test_warm_top_transport_makes_no_geometric_call(monkeypatch):
+    sp = SymplecticSpace.standard(3, 2)
+    h = random_collineation(sp, 63)
+    f, g = induce(h, 2), induce(h, 1)
+    hyperplane_table.cache_clear()
+    try:
+        count = check_top_transport(f, g)
+
+        def refuse(s):
+            raise AssertionError("hyperplanes_of called with the table warm")
+
+        monkeypatch.setattr(recon, "hyperplanes_of", refuse)
+        assert check_top_transport(f, g) == count == len(f.source) * 7
+    finally:
+        hyperplane_table.cache_clear()
 
 
 def top_transport_reference(f, g):

@@ -88,6 +88,9 @@ def test_point_map_round_trip(small_space):
     obj["pairs"][0] = [obj["pairs"][0][0]]
     with pytest.raises(SchemaError, match="pairs"):
         decode_point_map(obj)
+    obj["target_space"].update(n=4, p=3)
+    with pytest.raises(SchemaError, match="target_space: .* outside the supported grid"):
+        decode_point_map(obj)
 
 
 def test_grassmannian_map_round_trip(small_space):
@@ -104,6 +107,7 @@ def test_grassmannian_map_round_trip(small_space):
         (lambda o: o["table"].__setitem__(0, [0, 10**6]), "out of range"),
         (lambda o: o["table"].__setitem__(0, [0]), "pairs"),
         (lambda o: o.pop("source"), "missing field"),
+        (lambda o: o["target"].update(n=4, p=3), "outside the supported grid"),
     ],
 )
 def test_grassmannian_map_schema_rejection(mangle, message):
