@@ -11,6 +11,13 @@ coordinate frame, as images under random products of symplectic
 transvections, and by exhaustive backtracking over point indices.  The
 backtracking count is cross-checked in the tests against the closed form
 |Sp(2n, p)| / ((p - 1)^n 2^n n!) and against a group-orbit sweep.
+
+A random product of transvections is never multiplied out: the rows
+e_1..e_2n are pushed through the seeded transvections one at a time,
+random_base normalizes them, and random_collineation tabulates every
+point from them in one pass.  The matrix route, transvection_matrix
+multiplied out by mat_mul and tabulated by PointMap.from_matrix, stays
+as the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from sympol import _kernels
 from sympol.errors import (
@@ -285,35 +293,71 @@ def _transvection_stream(space, rng, count):
         yield v, c
 
 
+def _pushed_rows(space, seed):
+    """Rows of the seeded product T_1 T_2 ... T_6n of transvection matrices.
+
+    Row i is e_i pushed through the transvections in stream order, since
+    x T_1 T_2 ... applies T_1 first; x T = x + c omega(v, x) v touches a
+    row only when omega(v, x) != 0.  Entries are reduced mod p after each
+    step, as each mat_mul product reduces them, so the rows equal the
+    matrix product entry for entry.
+    """
+    rng = random.Random(seed)
+    p, d = space.p, space.dim
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for v, c in _transvection_stream(space, rng, 3 * d):
+        fr = space.form_row(v)
+        for i, x in enumerate(rows):
+            w = sum(map(mul, fr, x)) % p
+            if w:
+                f = (c * w) % p
+                rows[i] = [(a + f * b) % p for a, b in zip(x, v)]
+    return rows
+
+
 def random_collineation(space: SymplecticSpace, seed) -> PointMap:
     """Seeded product of 6n symplectic transvections as a point map.
 
     Transvections preserve the form exactly, so the result preserves
     orthogonality in both directions; products of length at least 4n
-    reach the whole group.
+    reach the whole group.  The points are tabulated in one pass over
+    all_points(), with no matrix product.  A point x whose leading 1
+    sits at position l is e_l + c t, where t is the point that starts
+    with 1 at x's next nonzero position m and c = x[m]; t has more
+    leading zeros, so it comes earlier in the order, and x's image
+    vector is row l plus c times t's.  Image vectors are kept by the
+    suffix x[l:], which names the point.  The matrix route
+    (transvection_matrix, a mat_mul chain and PointMap.from_matrix)
+    gives the same table and is the tests' oracle.
     """
-    rng = random.Random(seed)
-    d = space.dim
-    m = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    for v, c in _transvection_stream(space, rng, 3 * d):
-        m = mat_mul(m, transvection_matrix(space, v, c), space.p)
-    return PointMap.from_matrix(space, space, m)
+    rows = _pushed_rows(space, seed)
+    p, d = space.p, space.dim
+    inv = _kernels.inverses(p)
+    vectors = {}
+    table = {}
+    for x in space.all_points():
+        lead = x.index(1)
+        y = rows[lead]
+        for m in range(lead + 1, d):
+            c = x[m]
+            if c:
+                t = x[m:]
+                if c != 1:
+                    t = tuple((inv[c] * a) % p for a in t)
+                y = [(a + c * b) % p for a, b in zip(y, vectors[t])]
+                break
+        vectors[x[lead:]] = y
+        table[x] = normalize_point(y, p)
+    return PointMap(space, space, table)
 
 
 def random_base(space: SymplecticSpace, seed) -> SymplecticBase:
-    """Image of the standard base under random_collineation(space, seed)."""
-    rng = random.Random(seed)
-    pts = [list(x) for x in SymplecticBase.standard(space).points]
-    p = space.p
-    for v, c in _transvection_stream(space, rng, 3 * space.dim):
-        fr = space.form_row(v)
-        for x in pts:
-            w = sum(a * b for a, b in zip(fr, x)) % p
-            if w:
-                f = (c * w) % p
-                for t in range(len(x)):
-                    x[t] = (x[t] + f * v[t]) % p
-    points = tuple(normalize_point(x, p) for x in pts)
+    """Image of the standard base under random_collineation(space, seed).
+
+    The standard points are e_1..e_2n, so their images are the pushed
+    rows, normalized.
+    """
+    points = tuple(normalize_point(x, space.p) for x in _pushed_rows(space, seed))
     return SymplecticBase(space, points, standard_sigma(space.n))
 
 

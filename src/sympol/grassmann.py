@@ -32,9 +32,10 @@ they serve as the independent references the tests compare against.
 hyperplanes_of reads no layer table: it maps the hyperplanes of
 GF(p)^m, built once per (p, m), through a member's canonical rows.
 
-through_masks records point-member incidence as one bitmask of G_k
-indices per point, so a member spanned by known points is found by
-ANDing their masks.
+member_points lists each member's point indices, and through_masks
+inverts it into point-member incidence, one bitmask of G_k indices per
+point, so a member spanned by known points is found by ANDing their
+masks.
 """
 
 from __future__ import annotations
@@ -247,19 +248,32 @@ def grassmannian(space: SymplecticSpace, k) -> Grassmannian:
 
 
 @lru_cache(maxsize=None)
+def member_points(space: SymplecticSpace, k):
+    """Per member of G_k, the indices of its points in space.all_points().
+
+    Each row is increasing, since a member's points() and all_points()
+    share the global order.  This is the one geometric pass over the
+    members' points; through_masks and induce read it.
+    """
+    index = space.point_index()
+    return tuple(
+        tuple(index[pt] for pt in s.points()) for s in grassmannian(space, k).elements
+    )
+
+
+@lru_cache(maxsize=None)
 def through_masks(space: SymplecticSpace, k):
     """Bitmask per point index of the G_k members through that point.
 
     Bit m of entry pt is set when member m contains the point with index
-    pt in space.all_points(); built once per (n, p, k) from each
-    member's points, so later lookups need no row reduction.
+    pt in space.all_points(); built once per (n, p, k) from
+    member_points, so later lookups need no row reduction.
     """
-    index = space.point_index()
-    masks = [0] * len(index)
-    for m, s in enumerate(grassmannian(space, k).elements):
+    masks = [0] * len(space.all_points())
+    for m, row in enumerate(member_points(space, k)):
         bit = 1 << m
-        for pt in s.points():
-            masks[index[pt]] |= bit
+        for i in row:
+            masks[i] |= bit
     return tuple(masks)
 
 

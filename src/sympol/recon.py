@@ -9,13 +9,16 @@ resulting point map with a machine-checkable report.
 descend and induce do no row reduction per map: the meet of a star's
 images is the AND of their hyper_masks rows, and the member spanned by
 a member's image points is the AND of their through_masks rows, each
-accepted only when exactly one bit is left.  check_top_transport, the
-check on each descent step, reads each source member's hyperplanes off
-hyperplane_table, which lists them geometrically with hyperplanes_of
-(the coordinate hyperplanes of GF(p)^m mapped through the member's
-rows) once per (space, k), and reads the containment of each
-hyperplane's image off the image member's hyper_masks row.  The final
-orthogonality check compares ortho_masks rows through the point table
+accepted only when exactly one bit is left.  induce reads the map once
+per call as a list of image point indices, and each member's points off
+member_points, built once per (space, k), so it enumerates no member's
+points per map.  check_top_transport, the check on each descent step,
+reads each source member's hyperplanes off hyperplane_table, which
+lists them geometrically with hyperplanes_of (the coordinate
+hyperplanes of GF(p)^m mapped through the member's rows) once per
+(space, k), and reads the containment of each hyperplane's image off
+the image member's hyper_masks row.  The final orthogonality check
+compares ortho_masks rows through the point table
 (PointMap.orthogonality_witness).
 """
 
@@ -37,6 +40,7 @@ from sympol.grassmann import (
     grassmannian,
     hyper_masks,
     hyperplanes_of,
+    member_points,
     star_table,
     through_masks,
 )
@@ -128,21 +132,25 @@ def _single_bit(mask):
 def induce(h: PointMap, k) -> GrassmannianMap:
     """Layer map sending each member to the span of its points' images.
 
-    Bit m of the AND of the through_masks rows of the image points is set
-    exactly when member m holds them all.  A totally isotropic span of
-    pdim k is the one such member; a smaller one lies in at least p + 1,
-    and a larger or non-isotropic one in none, so any count other than
-    one means the image left the layer.
+    The images are read once per call as target point indices, from
+    h.apply over the source points, and each member's points come from
+    member_points, so no member is enumerated per map.  Bit m of the AND
+    of the through_masks rows of the image points is set exactly when
+    member m holds them all.  A totally isotropic span of pdim k is the
+    one such member; a smaller one lies in at least p + 1, and a larger
+    or non-isotropic one in none, so any count other than one means the
+    image left the layer.
     """
     source = grassmannian(h.source, k)
     target = grassmannian(h.target, k)
     index = h.target.point_index()
+    to = [index[h.apply(pt)] for pt in h.source.all_points()]
     through = through_masks(h.target, k)
     table = []
-    for s in source.elements:
+    for s, row in zip(source.elements, member_points(h.source, k)):
         mask = -1
-        for pt in s.points():
-            mask &= through[index[h.apply(pt)]]
+        for i in row:
+            mask &= through[to[i]]
         j = _single_bit(mask)
         if j is None:
             raise MapCheckError("induced image left the layer", witness=s)

@@ -7,11 +7,13 @@ import pytest
 from sympol.bases import (
     PointMap,
     SymplecticBase,
+    _transvection_stream,
     base_key_pairs,
     enumerate_all_bases,
     enumerate_bases_orbit,
     expected_base_count,
     is_symplectic_base,
+    mat_mul,
     perturb_one,
     perturb_pair,
     random_base,
@@ -19,6 +21,7 @@ from sympol.bases import (
     recognize,
     standard_sigma,
     symplectic_group_order,
+    transvection_matrix,
 )
 from sympol.errors import (
     ArityError,
@@ -28,7 +31,7 @@ from sympol.errors import (
     RecognitionError,
 )
 from sympol.linalg import vec_add
-from sympol.space import SymplecticSpace
+from sympol.space import ENUM_GRID, SymplecticSpace
 
 
 def test_standard_base_recognized(small_space):
@@ -105,6 +108,35 @@ def test_random_collineation_preserves_form(small_space):
         assert h.preserves_orthogonality()
         back = h.inverse().compose(h)
         assert back == PointMap.identity(small_space)
+
+
+def matrix_route(space, seed):
+    """random_collineation the long way: the seeded transvection matrices
+    multiplied out by mat_mul, then PointMap.from_matrix."""
+    rng = random.Random(seed)
+    d = space.dim
+    m = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    for v, c in _transvection_stream(space, rng, 3 * d):
+        m = mat_mul(m, transvection_matrix(space, v, c), space.p)
+    return PointMap.from_matrix(space, space, m)
+
+
+ROUTE_SEEDS = tuple(range(20)) + tuple(f"route-{i}" for i in range(20))
+
+
+@pytest.mark.parametrize("n,p", ENUM_GRID, ids=[f"n{n}p{p}" for n, p in ENUM_GRID])
+def test_pushed_rows_match_the_matrix_route(n, p):
+    # the same table in the same point order, and the standard base's image
+    # point for point with its pairing
+    sp = SymplecticSpace.standard(n, p)
+    standard = SymplecticBase.standard(sp)
+    for seed in ROUTE_SEEDS:
+        want = matrix_route(sp, seed)
+        got = random_collineation(sp, seed)
+        assert list(got.table.items()) == list(want.table.items())
+        image = want.apply_base(standard)
+        base = random_base(sp, seed)
+        assert (base.points, base.sigma) == (image.points, image.sigma)
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])

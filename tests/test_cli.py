@@ -193,6 +193,25 @@ def test_random_collineation_deterministic(run, tmp_path):
     assert run("random-collineation", "--n", 6, "--p", 2, "--seed", "s", "--out", b) == 2
 
 
+# SHA-256 of the `random-collineation --seed s7` output at every ENUM_GRID
+# point, recorded while the collineation was still a product of transvection
+# matrices; the seeded stream and its bytes must not move.
+RANDOM_COLLINEATION_S7 = {
+    (2, 2): "8db32aa1c41a9f8ee284e02a7a6b0d2a30248b4becad9329d0343e0478e2de60",
+    (2, 3): "f1b4b21cf0b99384d18e11e57c81ca32c26edecf00a3aa0a601cd8690f1929b3",
+    (2, 5): "5587fc564a065bfaabcae68023b5f0914581fb78df15660ad90d5a91cb2d421c",
+    (3, 2): "444f42e9daec1e1c49b3ca5556247fce1d04ab7b74b93db7fecb1279c75123d7",
+    (3, 3): "9afd768e7285dec4e239cc37a31be7fbe1b3c125bcf47583eddf4002ce125ec9",
+}
+
+
+@pytest.mark.parametrize("n,p", sorted(RANDOM_COLLINEATION_S7))
+def test_random_collineation_bytes_are_pinned(run, tmp_path, n, p):
+    out = tmp_path / "h.json"
+    assert run("random-collineation", "--n", n, "--p", p, "--seed", "s7", "--out", out) == 0
+    assert hashlib.sha256(read_bytes(out)).hexdigest() == RANDOM_COLLINEATION_S7[(n, p)]
+
+
 def test_induce_reconstruct_round_trip(run, tmp_path):
     h_path = tmp_path / "h.json"
     f_path = tmp_path / "f.json"

@@ -32,6 +32,11 @@ def layers(space):
     return range(space.n)
 
 
+# The exhaustive checks below reach one grid past BASE_GRID.  The list is
+# de-duplicated in order, so (2, 5) joining BASE_GRID keeps the ids unique.
+CHECK_GRID = tuple(dict.fromkeys(BASE_GRID + ((2, 5),)))
+
+
 def test_counts_match_closed_form(small_space):
     sp = small_space
     for k in layers(sp):
@@ -42,7 +47,7 @@ def test_counts_match_closed_form(small_space):
 
 # The perp(s)/s build against the full scan of every subspace, filtered
 # by the form afterwards: the two share no code past the kernels.
-@pytest.mark.parametrize("n,p", BASE_GRID + ((2, 5),))
+@pytest.mark.parametrize("n,p", CHECK_GRID)
 def test_layers_match_brute_force(n, p):
     sp = SymplecticSpace.standard(n, p)
     for k in layers(sp):
@@ -68,7 +73,7 @@ def test_layer_digests_are_pinned_at_3_3(tmp_path, monkeypatch):
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n,p", BASE_GRID + ((2, 5),))
+@pytest.mark.parametrize("n,p", CHECK_GRID)
 def test_through_masks_closed_forms(n, p, tmp_path, monkeypatch):
     # the members through a point are G_(k-1) of the rank n - 1 quotient
     # of its perp, and a pdim-k member holds (p^(k+1) - 1)/(p - 1) points
@@ -104,11 +109,8 @@ def test_adjacency_is_symmetric_and_irreflexive(small_space):
 
 
 # pair_relation reads the masks built from stars and tops; every unordered
-# pair is checked against the geometric predicates, one grid past BASE_GRID.
-PAIR_GRID = BASE_GRID + ((2, 5),)
-
-
-@pytest.mark.parametrize("n,p", PAIR_GRID, ids=[f"n{n}p{p}" for n, p in PAIR_GRID])
+# pair is checked against the geometric predicates.
+@pytest.mark.parametrize("n,p", CHECK_GRID, ids=[f"n{n}p{p}" for n, p in CHECK_GRID])
 def test_pair_relation_agrees_with_predicates(n, p):
     sp = SymplecticSpace.standard(n, p)
     for k in layers(sp):
@@ -146,7 +148,7 @@ def test_hyperplanes(small_space):
 # hyperplanes_of is the reference star_table and hyper_masks are tested
 # against; here it is checked against the full list of subspaces one
 # dimension down, filtered by containment.
-@pytest.mark.parametrize("n,p", BASE_GRID + ((2, 5),))
+@pytest.mark.parametrize("n,p", CHECK_GRID)
 def test_hyperplanes_match_all_subspaces(n, p):
     sp = SymplecticSpace.standard(n, p)
     for k in range(1, sp.n):
@@ -234,7 +236,7 @@ def test_star_table_consistency(small_space):
         assert all(c == hyp_count for c in per_member)
 
 
-@pytest.mark.parametrize("n,p", BASE_GRID + ((2, 5),))
+@pytest.mark.parametrize("n,p", CHECK_GRID)
 def test_star_table_matches_hyperplanes(n, p):
     # star_table reads point masks; the reference files each member of G_k
     # under each of its hyperplanes

@@ -13,7 +13,13 @@ from sympol.errors import (
     RecognitionError,
     ReconstructionError,
 )
-from sympol.grassmann import grassmannian, grassmannian_size, hyper_masks, hyperplanes_of
+from sympol.grassmann import (
+    grassmannian,
+    grassmannian_size,
+    hyper_masks,
+    hyperplanes_of,
+    member_points,
+)
 from sympol.linalg import Subspace, intersect_all
 from sympol.recon import (
     GrassmannianMap,
@@ -136,6 +142,31 @@ def test_induce_rejects_like_the_geometric_route(small_space):
                 induce(h, k)
             assert str(got.value) == str(want.value) == "induced image left the layer"
             assert got.value.witness == want.value.witness
+
+
+@pytest.mark.parametrize("n,p", ((2, 5), (3, 3)), ids=("n2p5", "n3p3"))
+def test_induce_matches_the_geometric_route_beyond_base_grid(n, p):
+    sp = SymplecticSpace.standard(n, p)
+    for seed in (131, 132):
+        h = random_collineation(sp, seed)
+        for k in layers(sp):
+            assert induce(h, k) == induce_reference(h, k)
+
+
+def test_warm_induce_enumerates_no_member_points(monkeypatch):
+    sp = SymplecticSpace.standard(3, 2)
+    h = random_collineation(sp, 64)
+    member_points.cache_clear()
+    try:
+        want = [induce(h, k) for k in layers(sp)]
+
+        def refuse(self):
+            raise AssertionError("Subspace.points called with member_points warm")
+
+        monkeypatch.setattr(Subspace, "points", refuse)
+        assert [induce(h, k) for k in layers(sp)] == want
+    finally:
+        member_points.cache_clear()
 
 
 def test_descend_rejects_like_the_geometric_route(small_space):
