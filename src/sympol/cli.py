@@ -62,7 +62,7 @@ from sympol.serialize import (
     load_json,
     write_report_csv,
 )
-from sympol.space import BASE_GRID, CLIQUE_GRID, ENUM_GRID, SymplecticSpace, image_mask
+from sympol.space import BASE_GRID, CLIQUE_GRID, ENUM_GRID, SymplecticSpace, bits, image_mask
 from sympol.subsets import (
     BaseSubset,
     base_subset_size,
@@ -76,6 +76,8 @@ from sympol.subsets import (
     is_exact,
     maximal_inexact_families,
     maximal_inexact_oracle,
+    member_bits,
+    member_mask,
     second_type_size,
     type1_members,
     type2_members,
@@ -190,13 +192,14 @@ def run_common_base(cfg, rng):
         ok = 0
         witness = None
         for i, j in pairs:
-            s, u = g[i], g[j]
             try:
-                bs = BaseSubset(common_base(space, s, u), k)
+                base = common_base(space, g[i], g[j])
             except (ValueError, RuntimeError) as exc:
                 witness = witness or f"pair ({i}, {j}): {exc}"
                 continue
-            if bs.index_set_of(s) is not None and bs.index_set_of(u) is not None:
+            bs = BaseSubset(base, k)
+            inside = member_mask(bs, bs.index_sets)
+            if inside >> i & 1 and inside >> j & 1:
                 ok += 1
             else:
                 witness = witness or f"pair ({i}, {j}): member missing from the built base"
@@ -537,7 +540,7 @@ def run_adjacency_preservation(cfg, rng):
         if not exhaustive:
             for _ in range(50):
                 bs = BaseSubset(random_base(space, rng.getrandbits(64)), k)
-                member_sets.append([g.index_of(m) for m in bs.members()])
+                member_sets.append([b.bit_length() - 1 for b in member_bits(bs.base, k, bs.index_sets)])
         adj_bad = 0
         ortho_bad = 0
         pairs_checked = 0
@@ -749,7 +752,7 @@ def run_negative_controls(cfg, rng):
     for k in _layers(cfg):
         g = grassmannian(space, k)
         bs = BaseSubset(SymplecticBase.standard(space), k)
-        inside = sorted(g.index_of(m) for m in bs.members())
+        inside = list(bits(member_mask(bs, bs.index_sets)))
         outside = sorted(set(range(len(g))) - set(inside))
         detected = 0
         sample = None

@@ -20,6 +20,14 @@ hyperplanes of GF(p)^m mapped through the member's rows) once per
 the image member's hyper_masks row.  The final orthogonality check
 compares ortho_masks rows through the point table
 (PointMap.orthogonality_witness).
+
+Base subsets are named by G_k index alone.  member_bits gives each
+member of a base's layer subset as a one-bit mask, so image_base reads
+the images off f.table, the regeneration check in identify_base_subset
+compares index sets, and the transport checks push index sets through
+one table built per (f, base).  No member is spanned per map; only the
+candidate points of identify_base_subset still come from pairwise
+Subspace.intersect.
 """
 
 from functools import lru_cache
@@ -47,11 +55,13 @@ from sympol.grassmann import (
 from sympol.linalg import Subspace
 from sympol.subsets import (
     BaseSubset,
+    admissible_index_sets,
     base_subset_size,
     distinct_complements,
     incident_members,
     is_exact,
     maximal_inexact_families,
+    member_bits,
     type1_members,
 )
 from sympol.bases import recognize
@@ -164,7 +174,9 @@ def identify_base_subset(space, k, members) -> SymplecticBase:
     Candidate points are the members themselves at the point layer and
     the pdim-0 pairwise intersections above it.  Recognition validates
     the non-orthogonality pairing, then regeneration confirms that the
-    candidate base spans exactly the given members.
+    candidate base spans exactly the given members: the G_k indices
+    that member_bits reads off the base's points must be the members'
+    own indices.
     """
     members = list(members)
     expected = base_subset_size(space.n, k)
@@ -183,19 +195,28 @@ def identify_base_subset(space, k, members) -> SymplecticBase:
     points = tuple(sorted(candidates))
     sigma = recognize(space, points)
     base = SymplecticBase(space, points, sigma)
-    bs = BaseSubset(base, k)
-    if {bs.subspace(i).rows for i in bs.index_sets} != {m.rows for m in members}:
+    layer = grassmannian(space, k)
+    if set(_member_indices(base, k)) != {layer.index_of(m) for m in members}:
         raise RecognitionError("regeneration", "candidate base spans a different member list")
     return base
 
 
+def _member_indices(base: SymplecticBase, k):
+    """G_k index of each member of the base's layer subset, in index-set order."""
+    index_sets = admissible_index_sets(base.sigma, k)
+    return [bit.bit_length() - 1 for bit in member_bits(base, k, index_sets)]
+
+
 def image_base(f: GrassmannianMap, base: SymplecticBase) -> SymplecticBase:
-    """The base spanned by the image of the base's layer subset."""
-    bs = BaseSubset(base, f.source.k)
-    images = [f.apply(bs.subspace(i)) for i in bs.index_sets]
+    """The base spanned by the image of the base's layer subset.
+
+    The images are the f.table entries at the members' G_k indices.
+    """
+    images = [f.table[i] for i in _member_indices(base, f.source.k)]
     if len(set(images)) != len(images):
         raise RecognitionError("collapse", "two members share an image")
-    return identify_base_subset(f.target.space, f.source.k, images)
+    target = f.target
+    return identify_base_subset(target.space, target.k, [target.elements[j] for j in images])
 
 
 def check_base_preservation(f: GrassmannianMap, bases):
@@ -233,8 +254,37 @@ def check_adjacency_preservation(f: GrassmannianMap, pairs=None, limit=5):
     return tuple(bad)
 
 
-def _push(f, bs, into, collection):
-    return frozenset(into.index_set_of(f.apply(bs.subspace(i))) for i in collection)
+def _index_push(f: GrassmannianMap, base: SymplecticBase):
+    """The layer subsets of base and of its image base, and the bijection
+    f induces between their index sets, read through G_k indices."""
+    k = f.source.k
+    bs = BaseSubset(base, k)
+    bs2 = BaseSubset(image_base(f, base), k)
+    at = dict(zip(_member_indices(bs2.base, k), bs2.index_sets))
+    push = {i: at[f.table[j]] for i, j in zip(bs.index_sets, _member_indices(base, k))}
+    return bs, bs2, push
+
+
+def _pushed(push, collection):
+    return frozenset(push[i] for i in collection)
+
+
+def _type1_transport(f: GrassmannianMap, base: SymplecticBase):
+    """type1_position_map, with the index push it was read through."""
+    space = f.source.space
+    if f.source.k >= space.n - 1:
+        raise DimensionError("first-type families are maximal only below the top layer")
+    bs, bs2, push = _index_push(f, base)
+    targets = {type1_members(bs2, i): i for i in range(space.dim)}
+    pi = []
+    for i in range(space.dim):
+        hit = targets.get(_pushed(push, type1_members(bs, i)))
+        if hit is None:
+            raise MapCheckError("first-type family has no image position", witness=i)
+        pi.append(hit)
+    if len(set(pi)) != space.dim:
+        raise MapCheckError("first-type transport is not a bijection", witness=tuple(pi))
+    return tuple(pi), bs, bs2, push
 
 
 def type1_position_map(f: GrassmannianMap, base: SymplecticBase):
@@ -243,35 +293,16 @@ def type1_position_map(f: GrassmannianMap, base: SymplecticBase):
     Position i goes to the position whose first-type family in the
     image subset is the image of the one at i.
     """
-    space = f.source.space
-    if f.source.k >= space.n - 1:
-        raise DimensionError("first-type families are maximal only below the top layer")
-    bs = BaseSubset(base, f.source.k)
-    other = image_base(f, base)
-    bs2 = BaseSubset(other, f.source.k)
-    targets = {type1_members(bs2, i): i for i in range(space.dim)}
-    pi = []
-    for i in range(space.dim):
-        hit = targets.get(_push(f, bs, bs2, type1_members(bs, i)))
-        if hit is None:
-            raise MapCheckError("first-type family has no image position", witness=i)
-        pi.append(hit)
-    if len(set(pi)) != space.dim:
-        raise MapCheckError("first-type transport is not a bijection", witness=tuple(pi))
-    return tuple(pi)
+    return _type1_transport(f, base)[0]
 
 
 def check_span_transport(f: GrassmannianMap, base: SymplecticBase) -> int:
     """Members inside each span of k + 2 positions map onto the members
     inside the transported span; returns the number of spans checked."""
-    space = f.source.space
-    k = f.source.k
-    pi = type1_position_map(f, base)
-    bs = BaseSubset(base, k)
-    bs2 = BaseSubset(image_base(f, base), k)
+    pi, bs, bs2, push = _type1_transport(f, base)
     count = 0
-    for combo in combinations(range(space.dim), k + 2):
-        got = _push(f, bs, bs2, incident_members(bs, combo))
+    for combo in combinations(range(f.source.space.dim), f.source.k + 2):
+        got = _pushed(push, incident_members(bs, combo))
         if got != incident_members(bs2, frozenset(pi[x] for x in combo)):
             raise MapCheckError("span incidence does not transport", witness=combo)
         count += 1
@@ -284,13 +315,12 @@ def check_family_transport(f: GrassmannianMap, base: SymplecticBase):
     Set equality of the labelled image families against the image
     subset's own families covers both directions at once.
     """
-    bs = BaseSubset(base, f.source.k)
-    bs2 = BaseSubset(image_base(f, base), f.source.k)
-    got = {(label[0], _push(f, bs, bs2, members)) for label, members in maximal_inexact_families(bs)}
+    bs, bs2, push = _index_push(f, base)
+    got = {(label[0], _pushed(push, members)) for label, members in maximal_inexact_families(bs)}
     want = {(label[0], members) for label, members in maximal_inexact_families(bs2)}
     if got != want:
         raise MapCheckError("maximal inexact families do not transport")
-    got_c = {_push(f, bs, bs2, members) for members in distinct_complements(bs)}
+    got_c = {_pushed(push, members) for members in distinct_complements(bs)}
     want_c = set(distinct_complements(bs2))
     if got_c != want_c:
         raise MapCheckError("complement subsets do not transport")
@@ -303,11 +333,10 @@ def check_exactness_transport(f: GrassmannianMap, base: SymplecticBase, collecti
     Decided by the exhaustive covering test on both sides, so the
     feasibility grid for base enumeration applies.
     """
-    bs = BaseSubset(base, f.source.k)
-    bs2 = BaseSubset(image_base(f, base), f.source.k)
+    bs, bs2, push = _index_push(f, base)
     checked = 0
     for collection in collections:
-        image = _push(f, bs, bs2, collection)
+        image = _pushed(push, collection)
         if is_exact(bs, collection) != is_exact(bs2, image):
             raise MapCheckError("exactness is not preserved", witness=sorted(map(sorted, collection)))
         checked += 1

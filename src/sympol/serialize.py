@@ -14,7 +14,6 @@ import os
 import tempfile
 
 from sympol.errors import FeasibilityError, SchemaError
-from sympol.linalg import Subspace
 from sympol.space import ENUM_GRID, SymplecticSpace
 
 
@@ -59,11 +58,16 @@ def load_json(path):
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def _is_int(val):
+    """Whether val is an int and not a bool, which JSON true and false decode to."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _need(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{where}: missing field {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and not (_is_int(val) if kind is int else isinstance(val, kind)):
         raise SchemaError(f"{where}: field {key!r} has wrong type")
     return val
 
@@ -91,44 +95,6 @@ def _parse_map_space(obj, where) -> SymplecticSpace:
     return space
 
 
-def encode_subspace(s: Subspace):
-    return {"p": s.p, "ambient": s.ambient, "rows": [list(r) for r in s.rows]}
-
-
-def decode_subspace(obj, where="subspace") -> Subspace:
-    p = _need(obj, "p", int, where)
-    ambient = _need(obj, "ambient", int, where)
-    rows = _need(obj, "rows", list, where)
-    try:
-        vecs = [tuple(int(x) for x in r) for r in rows]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: rows must be integer lists") from exc
-    s = Subspace.span(p, ambient, vecs)
-    if s.rows != tuple(tuple(r) for r in vecs):
-        raise SchemaError(f"{where}: rows are not in canonical form")
-    return s
-
-
-def encode_base(base):
-    return {
-        "space": base.space.header(),
-        "points": [list(x) for x in base.points],
-        "sigma": list(base.sigma),
-    }
-
-
-def decode_base(obj, where="base"):
-    from sympol.bases import SymplecticBase, recognize
-
-    space = parse_space(_need(obj, "space", dict, where), where + ".space")
-    points = [tuple(int(x) for x in v) for v in _need(obj, "points", list, where)]
-    sigma = tuple(_need(obj, "sigma", list, where))
-    found = recognize(space, points)
-    if found != sigma:
-        raise SchemaError(f"{where}: sigma does not match the points")
-    return SymplecticBase(space, points, sigma)
-
-
 def encode_point_map(h):
     pairs = sorted((list(x), list(y)) for x, y in h.table.items())
     return {
@@ -148,7 +114,10 @@ def decode_point_map(obj, where="point map"):
         if not isinstance(entry, list) or len(entry) != 2:
             raise SchemaError(f"{where}: pairs must be [source, target] lists")
         a, b = entry
-        table[tuple(int(x) for x in a)] = tuple(int(x) for x in b)
+        for vec in (a, b):
+            if not (isinstance(vec, list) and all(_is_int(x) for x in vec)):
+                raise SchemaError(f"{where}: pairs must hold lists of integer coordinates")
+        table[tuple(a)] = tuple(b)
     return PointMap(source, target, table)
 
 
@@ -179,7 +148,9 @@ def decode_grassmannian_map(obj, where="map"):
         if not isinstance(entry, list) or len(entry) != 2:
             raise SchemaError(f"{where}: table entries must be [i, j] pairs")
         i, j = entry
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < len(source) and 0 <= j < len(target)):
+        if not (_is_int(i) and _is_int(j)):
+            raise SchemaError(f"{where}: table entries must be integer pairs")
+        if not (0 <= i < len(source) and 0 <= j < len(target)):
             raise SchemaError(f"{where}: table index out of range")
         if table[i] is not None:
             raise SchemaError(f"{where}: duplicate table entry for {i}")

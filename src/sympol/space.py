@@ -47,7 +47,7 @@ def image_mask(mask, table):
 class SymplecticSpace:
     """Rank n symplectic space over GF(p) with the standard form."""
 
-    __slots__ = ("n", "p", "dim", "gram", "_points", "_point_index", "_ortho_masks")
+    __slots__ = ("n", "p", "dim", "_points", "_point_index", "_ortho_masks")
 
     def __init__(self, n, p):
         if n < 2:
@@ -57,11 +57,6 @@ class SymplecticSpace:
         self.n = n
         self.p = p
         self.dim = 2 * n
-        gram = [[0] * self.dim for _ in range(self.dim)]
-        for i in range(n):
-            gram[i][n + i] = 1
-            gram[n + i][i] = p - 1
-        self.gram = tuple(tuple(r) for r in gram)
         self._points = None
         self._point_index = None
         self._ortho_masks = None
@@ -81,9 +76,6 @@ class SymplecticSpace:
         for i in range(n):
             acc += x[i] * y[n + i] - x[n + i] * y[i]
         return acc % p
-
-    def orthogonal(self, x, y) -> bool:
-        return self.omega(x, y) == 0
 
     def form_row(self, x):
         """The functional y -> omega(x, y) as a coefficient vector."""

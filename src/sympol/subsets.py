@@ -13,6 +13,12 @@ partner pair, since partners are non-orthogonal, and at most k + 1 of
 the independent base points, exactly k + 1 only as their span.  So a
 member lies in the base subset exactly when it meets k + 1 of the n
 partner-pair unions, and no index set is visited per base.
+
+member_bits is the one route from a base's index sets to their G_k
+indices: the span of k + 1 base points is the only member holding all
+of them, so its bit is the AND of their through_masks rows.
+BaseSubset.subspace row reduces the points instead; only
+certify_inexact and the meet_at_subspace oracle use it.
 """
 
 from functools import lru_cache
@@ -55,11 +61,6 @@ def admissible_index_sets(sigma, k):
     return tuple(out)
 
 
-def span_of_positions(base: SymplecticBase, positions) -> Subspace:
-    space = base.space
-    return Subspace.span(space.p, space.dim, [base.points[i] for i in positions])
-
-
 class BaseSubset:
     """Members of the layer-k Grassmannian spanned by points of one base.
 
@@ -69,7 +70,7 @@ class BaseSubset:
     are linearly independent, so the index sets are a faithful catalog.
     """
 
-    __slots__ = ("base", "k", "index_sets", "_position", "_spans", "_by_rows")
+    __slots__ = ("base", "k", "index_sets", "_position")
 
     def __init__(self, base: SymplecticBase, k: int):
         n = base.space.n
@@ -79,8 +80,6 @@ class BaseSubset:
         self.k = k
         self.index_sets = admissible_index_sets(base.sigma, k)
         self._position = {s: i for i, s in enumerate(self.index_sets)}
-        self._spans = {}
-        self._by_rows = None
 
     def __len__(self):
         return len(self.index_sets)
@@ -92,24 +91,20 @@ class BaseSubset:
         return index_set in self._position
 
     def subspace(self, index_set) -> Subspace:
-        """The member spanned by the points at the given positions."""
-        s = self._spans.get(index_set)
-        if s is None:
-            if index_set not in self._position:
-                raise DimensionError(f"not a member index set: {sorted(index_set)}")
-            s = span_of_positions(self.base, index_set)
-            self._spans[index_set] = s
-        return s
+        """The member spanned by the points at the given positions.
+
+        Row reduces the points on every call.  This is the geometric
+        route, for certify_inexact and the meet_at_subspace oracle; the
+        G_k index of a member comes from member_bits.
+        """
+        if index_set not in self._position:
+            raise DimensionError(f"not a member index set: {sorted(index_set)}")
+        space = self.base.space
+        return Subspace.span(space.p, space.dim, [self.base.points[i] for i in index_set])
 
     def members(self):
         """Every member as a subspace, aligned with index_sets."""
         return tuple(self.subspace(i) for i in self.index_sets)
-
-    def index_set_of(self, s: Subspace):
-        """Index set of a member subspace, or None for non-members."""
-        if self._by_rows is None:
-            self._by_rows = {self.subspace(i).rows: i for i in self.index_sets}
-        return self._by_rows.get(s.rows)
 
     def select(self, plus=(), minus=()):
         """Members through every plus position avoiding every minus one."""

@@ -97,6 +97,25 @@ def test_verify_all_report_bytes_are_pinned(run, tmp_path):
         assert hashlib.sha256(read_bytes(out.with_suffix(suffix))).hexdigest() == digest
 
 
+# SHA-256 digests of the (3, 2) `verify --suite all --seed s1 --trials 2`
+# report pair, recorded before base-subset members were read off
+# member_bits in reconstruct and the verify suites.  The run covers the
+# sampled n = 3 branch of adjacency-preservation and the transport,
+# round-trip, preserves-base-subsets and common-base suites at (3, 2).
+VERIFY_ALL_S1_N3_P2_TRIALS2 = {
+    ".json": "85ce68dca13e0b9912aa617913ecd0319ef18d65841ae113b0f147cd53c30be7",
+    ".csv": "d032765c0b77e3145be0bc9f166286d5bff07410ad32dbab64359f5d38d006aa",
+}
+
+
+def test_verify_all_n3_p2_report_bytes_are_pinned(run, tmp_path):
+    out = tmp_path / "report.json"
+    args = ("verify", "--n", 3, "--p", 2, "--suite", "all", "--seed", "s1", "--trials", 2)
+    assert run(*args, "--out", out) == 0
+    for suffix, digest in VERIFY_ALL_S1_N3_P2_TRIALS2.items():
+        assert hashlib.sha256(read_bytes(out.with_suffix(suffix))).hexdigest() == digest
+
+
 # SHA-256 digests of the (3, 2) `verify --suite classification --seed s1`
 # report pair, recorded before the subset universe became a threshold
 # count; the exhaustive oracle behind this suite reads that universe.
@@ -237,6 +256,24 @@ def test_induce_rejects_bad_inputs(run, tmp_path, capsys):
     missing = tmp_path / "no-such.json"
     assert run("induce", "--map", missing, "--k", 1, "--out", tmp_path / "f.json") == 2
     assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [[5, 6], "a", 1.9, True])
+def test_induce_rejects_non_integer_coordinates(run, tmp_path, capsys, bad):
+    h_path = tmp_path / "h.json"
+    assert run("random-collineation", "--n", 2, "--p", 2, "--seed", "x", "--out", h_path) == 0
+    payload = json.loads(read_bytes(h_path))
+    if isinstance(bad, list):
+        payload["pairs"][0] = bad
+    else:
+        payload["pairs"][0][1][-1] = bad
+    atomic_write_json(h_path, payload)
+    capsys.readouterr()
+    assert run("induce", "--map", h_path, "--k", 1, "--out", tmp_path / "f.json") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "integer coordinates" in captured.err
+    assert not (tmp_path / "f.json").exists()
 
 
 def test_induce_rejects_non_symplectic_map(run, tmp_path, capsys):

@@ -413,6 +413,24 @@ def test_identify_base_subset(small_space):
         identify_base_subset(sp, 0, wrong)
 
 
+def test_identify_base_subset_regeneration():
+    # A line swapped into a (3, 2) base subset can leave the pairwise meets
+    # at exactly the base points, so only regeneration rejects the list.
+    sp = SymplecticSpace.standard(3, 2)
+    base = random_base(sp, 77)
+    members = list(BaseSubset(base, 1).members())
+    reasons = []
+    for s in grassmannian(sp, 1):
+        if s in members:
+            continue
+        with pytest.raises(RecognitionError) as excinfo:
+            identify_base_subset(sp, 1, [s] + members[1:])
+        reasons.append(excinfo.value.reason)
+        if reasons[-1] == "regeneration":
+            break
+    assert reasons[-1] == "regeneration"
+
+
 def orthogonality_witness_reference(h):
     """The first flipping pair of the O(P^2) scan over point indices i < j."""
     src, tgt, table = h.source, h.target, h.table
@@ -424,7 +442,9 @@ def orthogonality_witness_reference(h):
     return None
 
 
-WITNESS_GRID = BASE_GRID + ((2, 5), (3, 3))
+# De-duplicated in order, so (2, 5) or (3, 3) joining BASE_GRID keeps the
+# ids unique.
+WITNESS_GRID = tuple(dict.fromkeys(BASE_GRID + ((2, 5), (3, 3))))
 
 
 @pytest.mark.parametrize("n,p", WITNESS_GRID, ids=[f"n{n}p{p}" for n, p in WITNESS_GRID])

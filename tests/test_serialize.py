@@ -5,21 +5,16 @@ import stat
 
 import pytest
 
-from sympol.bases import SymplecticBase, random_collineation
+from sympol.bases import random_collineation
 from sympol.errors import SchemaError
-from sympol.grassmann import grassmannian
 from sympol.recon import induce
 from sympol.serialize import (
     atomic_write_json,
-    decode_base,
     decode_grassmannian_map,
     decode_point_map,
-    decode_subspace,
     dumps,
-    encode_base,
     encode_grassmannian_map,
     encode_point_map,
-    encode_subspace,
     load_json,
     parse_space,
     write_report_csv,
@@ -59,33 +54,20 @@ def test_space_header_round_trip(small_space):
         parse_space({"n": 2})
 
 
-def test_subspace_round_trip(small_space):
-    for k in range(small_space.n):
-        s = grassmannian(small_space, k)[1]
-        assert decode_subspace(encode_subspace(s)) == s
-    bad = encode_subspace(grassmannian(small_space, 0)[0])
-    # a doubled row is never in reduced form: zero over GF(2), leading 2 above
-    bad["rows"] = [[2 * x % small_space.p for x in r] for r in bad["rows"]]
-    with pytest.raises(SchemaError, match="canonical"):
-        decode_subspace(bad)
-
-
-def test_base_round_trip(small_space):
-    base = SymplecticBase.standard(small_space)
-    obj = encode_base(base)
-    assert decode_base(obj) == base
-    obj["sigma"] = list(reversed(obj["sigma"]))
-    with pytest.raises(SchemaError, match="sigma"):
-        decode_base(obj)
-
-
 def test_point_map_round_trip(small_space):
     h = random_collineation(small_space, "ser")
     obj = encode_point_map(h)
     # pairs are sorted, so encoding is order-independent
     assert obj["pairs"] == sorted(obj["pairs"])
     assert decode_point_map(obj) == h
-    obj["pairs"][0] = [obj["pairs"][0][0]]
+    # a coordinate is an int, never a bool, a float or a string, and a
+    # point is a list of them
+    x, y = obj["pairs"][0]
+    for bad in ([5, 6], [x, 5], [x, [*y[:-1], "a"]], [x, [*y[:-1], 1.9]], [x, [*y[:-1], True]]):
+        obj["pairs"][0] = bad
+        with pytest.raises(SchemaError, match="pairs must hold lists of integer coordinates"):
+            decode_point_map(obj)
+    obj["pairs"][0] = [x]
     with pytest.raises(SchemaError, match="pairs"):
         decode_point_map(obj)
     obj["target_space"].update(n=4, p=3)
@@ -106,6 +88,11 @@ def test_grassmannian_map_round_trip(small_space):
         (lambda o: o["table"].append([0, 0]), "duplicate"),
         (lambda o: o["table"].__setitem__(0, [0, 10**6]), "out of range"),
         (lambda o: o["table"].__setitem__(0, [0]), "pairs"),
+        (lambda o: o["table"].__setitem__(0, [0, True]), "integer pairs"),
+        (lambda o: o["table"].__setitem__(0, [False, 0]), "integer pairs"),
+        (lambda o: o["table"].__setitem__(0, [0, 1.0]), "integer pairs"),
+        (lambda o: o["table"].__setitem__(0, [0, "1"]), "integer pairs"),
+        (lambda o: o["source"].update(k=True), "field 'k' has wrong type"),
         (lambda o: o.pop("source"), "missing field"),
         (lambda o: o["target"].update(n=4, p=3), "outside the supported grid"),
     ],
