@@ -44,6 +44,7 @@ from sympol.grassmann import (
     top_index_sets,
 )
 from sympol.recon import (
+    GrassmannianMap,
     check_adjacency_preservation,
     check_base_preservation,
     check_exactness_transport,
@@ -62,7 +63,7 @@ from sympol.serialize import (
     load_json,
     write_report_csv,
 )
-from sympol.space import BASE_GRID, CLIQUE_GRID, ENUM_GRID, SymplecticSpace, bits, image_mask
+from sympol.space import BASE_GRID, CLIQUE_GRID, ENUM_GRID, SymplecticSpace, image_mask
 from sympol.subsets import (
     BaseSubset,
     base_subset_size,
@@ -76,8 +77,6 @@ from sympol.subsets import (
     is_exact,
     maximal_inexact_families,
     maximal_inexact_oracle,
-    member_bits,
-    member_mask,
     second_type_size,
     type1_members,
     type2_members,
@@ -197,9 +196,8 @@ def run_common_base(cfg, rng):
             except (ValueError, RuntimeError) as exc:
                 witness = witness or f"pair ({i}, {j}): {exc}"
                 continue
-            bs = BaseSubset(base, k)
-            inside = member_mask(bs, bs.index_sets)
-            if inside >> i & 1 and inside >> j & 1:
+            inside = BaseSubset(base, k).indices()
+            if i in inside and j in inside:
                 ok += 1
             else:
                 witness = witness or f"pair ({i}, {j}): member missing from the built base"
@@ -539,8 +537,7 @@ def run_adjacency_preservation(cfg, rng):
         member_sets = []
         if not exhaustive:
             for _ in range(50):
-                bs = BaseSubset(random_base(space, rng.getrandbits(64)), k)
-                member_sets.append([b.bit_length() - 1 for b in member_bits(bs.base, k, bs.index_sets)])
+                member_sets.append(BaseSubset(random_base(space, rng.getrandbits(64)), k).indices())
         adj_bad = 0
         ortho_bad = 0
         pairs_checked = 0
@@ -705,8 +702,6 @@ def _corrupting_swap(f, bs_indices, outside, rng, tries=200):
     generically breaks everything; the rare swaps that accidentally
     land on another valid image are skipped.
     """
-    from sympol.recon import GrassmannianMap
-
     nverts = len(f.source)
     for _ in range(tries):
         a = rng.choice(bs_indices)
@@ -751,8 +746,7 @@ def run_negative_controls(cfg, rng):
     entries = []
     for k in _layers(cfg):
         g = grassmannian(space, k)
-        bs = BaseSubset(SymplecticBase.standard(space), k)
-        inside = list(bits(member_mask(bs, bs.index_sets)))
+        inside = sorted(BaseSubset(SymplecticBase.standard(space), k).indices())
         outside = sorted(set(range(len(g))) - set(inside))
         detected = 0
         sample = None
@@ -1032,16 +1026,26 @@ def build_parser():
     return parser
 
 
+def _run(cfg):
+    # an output or cache path that cannot be written is an unusable
+    # request, not a failed check
+    try:
+        return cfg.func(cfg)
+    except OSError as exc:
+        path = "output" if exc.filename is None else exc.filename
+        return _usage(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def main(argv=None):
     cfg = build_parser().parse_args(argv)
     cache = getattr(cfg, "cache", None)
     if not cache:
-        return cfg.func(cfg)
+        return _run(cfg)
     # --cache sets SYMPOL_CACHE_DIR for this command only
     previous = os.environ.get("SYMPOL_CACHE_DIR")
     os.environ["SYMPOL_CACHE_DIR"] = cache
     try:
-        return cfg.func(cfg)
+        return _run(cfg)
     finally:
         if previous is None:
             del os.environ["SYMPOL_CACHE_DIR"]

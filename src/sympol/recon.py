@@ -21,13 +21,13 @@ the image member's hyper_masks row.  The final orthogonality check
 compares ortho_masks rows through the point table
 (PointMap.orthogonality_witness).
 
-Base subsets are named by G_k index alone.  member_bits gives each
-member of a base's layer subset as a one-bit mask, so image_base reads
-the images off f.table, the regeneration check in identify_base_subset
-compares index sets, and the transport checks push index sets through
-one table built per (f, base).  No member is spanned per map; only the
-candidate points of identify_base_subset still come from pairwise
-Subspace.intersect.
+Base subsets are named by G_k index alone.  BaseSubset.indices gives
+the G_k index of each member of a base's layer subset, so image_base
+hands the f.table images of those indices to identify_base_subset, whose
+regeneration check compares index sets, and the transport checks push
+index sets through one table built per (f, base).  No member is spanned
+per map; only the candidate points of identify_base_subset still come
+from pairwise Subspace.intersect of the layer's elements.
 """
 
 from functools import lru_cache
@@ -52,16 +52,14 @@ from sympol.grassmann import (
     star_table,
     through_masks,
 )
-from sympol.linalg import Subspace
+from sympol.space import single_bit
 from sympol.subsets import (
     BaseSubset,
-    admissible_index_sets,
     base_subset_size,
     distinct_complements,
     incident_members,
     is_exact,
     maximal_inexact_families,
-    member_bits,
     type1_members,
 )
 from sympol.bases import recognize
@@ -89,27 +87,6 @@ class GrassmannianMap:
         self.target = target
         self.table = table
 
-    @classmethod
-    def identity(cls, gr: Grassmannian) -> "GrassmannianMap":
-        return cls(gr, gr, range(len(gr)))
-
-    @classmethod
-    def from_callable(cls, source, target, fn) -> "GrassmannianMap":
-        """Tabulate fn over the source elements; images must hit the layer."""
-        table = []
-        for s in source.elements:
-            j = target.index_of(fn(s))
-            if j is None:
-                raise MapCheckError("callable image left the layer", witness=s)
-            table.append(j)
-        return cls(source, target, table)
-
-    def apply(self, s: Subspace) -> Subspace:
-        i = self.source.index_of(s)
-        if i is None:
-            raise DimensionError("argument is not a source element")
-        return self.target.elements[self.table[i]]
-
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
 
@@ -130,13 +107,6 @@ class GrassmannianMap:
             f"GrassmannianMap(k={self.source.k}, {self.source.space!r}, "
             f"{len(self.table)} elements)"
         )
-
-
-def _single_bit(mask):
-    """The index of the one set bit of mask, or None for any other mask."""
-    if mask > 0 and not mask & (mask - 1):
-        return mask.bit_length() - 1
-    return None
 
 
 def induce(h: PointMap, k) -> GrassmannianMap:
@@ -161,7 +131,7 @@ def induce(h: PointMap, k) -> GrassmannianMap:
         mask = -1
         for i in row:
             mask &= through[to[i]]
-        j = _single_bit(mask)
+        j = single_bit(mask)
         if j is None:
             raise MapCheckError("induced image left the layer", witness=s)
         table.append(j)
@@ -169,25 +139,26 @@ def induce(h: PointMap, k) -> GrassmannianMap:
 
 
 def identify_base_subset(space, k, members) -> SymplecticBase:
-    """Recover the spanning base from a claimed base subset.
+    """Recover the spanning base from a claimed base subset of G_k.
 
-    Candidate points are the members themselves at the point layer and
-    the pdim-0 pairwise intersections above it.  Recognition validates
+    The members are given by their G_k indices.  Candidate points are
+    the members themselves at the point layer and the pdim-0 pairwise
+    intersections of their subspaces above it.  Recognition validates
     the non-orthogonality pairing, then regeneration confirms that the
-    candidate base spans exactly the given members: the G_k indices
-    that member_bits reads off the base's points must be the members'
-    own indices.
+    candidate base spans exactly the given members: its
+    BaseSubset.indices must be the given index set.
     """
-    members = list(members)
+    members = set(members)
     expected = base_subset_size(space.n, k)
-    if len(set(members)) != expected:
-        raise RecognitionError("size", f"{len(set(members))} members, expected {expected}")
+    if len(members) != expected:
+        raise RecognitionError("size", f"{len(members)} members, expected {expected}")
+    elements = grassmannian(space, k).elements
     if k == 0:
-        candidates = {m.rows[0] for m in members}
+        candidates = {elements[m].rows[0] for m in members}
     else:
         candidates = set()
         for a, b in combinations(members, 2):
-            meet = a.intersect(b)
+            meet = elements[a].intersect(elements[b])
             if meet.vdim == 1:
                 candidates.add(meet.rows[0])
     if len(candidates) != space.dim:
@@ -195,28 +166,21 @@ def identify_base_subset(space, k, members) -> SymplecticBase:
     points = tuple(sorted(candidates))
     sigma = recognize(space, points)
     base = SymplecticBase(space, points, sigma)
-    layer = grassmannian(space, k)
-    if set(_member_indices(base, k)) != {layer.index_of(m) for m in members}:
+    if set(BaseSubset(base, k).indices()) != members:
         raise RecognitionError("regeneration", "candidate base spans a different member list")
     return base
-
-
-def _member_indices(base: SymplecticBase, k):
-    """G_k index of each member of the base's layer subset, in index-set order."""
-    index_sets = admissible_index_sets(base.sigma, k)
-    return [bit.bit_length() - 1 for bit in member_bits(base, k, index_sets)]
 
 
 def image_base(f: GrassmannianMap, base: SymplecticBase) -> SymplecticBase:
     """The base spanned by the image of the base's layer subset.
 
-    The images are the f.table entries at the members' G_k indices.
+    The images are the f.table entries at the members' G_k indices,
+    handed to identify_base_subset as they are.
     """
-    images = [f.table[i] for i in _member_indices(base, f.source.k)]
+    images = [f.table[i] for i in BaseSubset(base, f.source.k).indices()]
     if len(set(images)) != len(images):
         raise RecognitionError("collapse", "two members share an image")
-    target = f.target
-    return identify_base_subset(target.space, target.k, [target.elements[j] for j in images])
+    return identify_base_subset(f.target.space, f.target.k, images)
 
 
 def check_base_preservation(f: GrassmannianMap, bases):
@@ -260,8 +224,8 @@ def _index_push(f: GrassmannianMap, base: SymplecticBase):
     k = f.source.k
     bs = BaseSubset(base, k)
     bs2 = BaseSubset(image_base(f, base), k)
-    at = dict(zip(_member_indices(bs2.base, k), bs2.index_sets))
-    push = {i: at[f.table[j]] for i, j in zip(bs.index_sets, _member_indices(base, k))}
+    at = dict(zip(bs2.indices(), bs2.index_sets))
+    push = {i: at[f.table[j]] for i, j in zip(bs.index_sets, bs.indices())}
     return bs, bs2, push
 
 
@@ -367,7 +331,7 @@ def descend(f: GrassmannianMap) -> GrassmannianMap:
         mask = -1
         for si in star:
             mask &= hyper[image[si]]
-        j = _single_bit(mask)
+        j = single_bit(mask)
         if j is None:
             raise DescentError(
                 "star images share the wrong dimension", level=k - 1, witness=src_low.elements[mi]

@@ -36,6 +36,13 @@ def bits(mask):
         mask ^= low
 
 
+def single_bit(mask):
+    """The index of the one set bit of mask, or None for any other mask."""
+    if mask > 0 and not mask & (mask - 1):
+        return mask.bit_length() - 1
+    return None
+
+
 def image_mask(mask, table):
     """The bitmask of the table images of the indices set in mask."""
     out = 0

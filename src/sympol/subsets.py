@@ -14,9 +14,11 @@ the independent base points, exactly k + 1 only as their span.  So a
 member lies in the base subset exactly when it meets k + 1 of the n
 partner-pair unions, and no index set is visited per base.
 
-member_bits is the one route from a base's index sets to their G_k
-indices: the span of k + 1 base points is the only member holding all
-of them, so its bit is the AND of their through_masks rows.
+BaseSubset.indices is the one route from a base's index sets to their
+G_k indices, built once per BaseSubset: the span of k + 1 base points
+is the only member holding all of them, so its index is the one bit
+left in the AND of their through_masks rows.  member_mask, the oracle
+and every caller outside this module read members off it.
 BaseSubset.subspace row reduces the points instead; only
 certify_inexact and the meet_at_subspace oracle use it.
 """
@@ -37,7 +39,7 @@ from sympol.linalg import (
     vec_add,
     vec_scale,
 )
-from sympol.space import SymplecticSpace, bits
+from sympol.space import SymplecticSpace, bits, single_bit
 from sympol._kernels import nullspace
 
 
@@ -70,7 +72,7 @@ class BaseSubset:
     are linearly independent, so the index sets are a faithful catalog.
     """
 
-    __slots__ = ("base", "k", "index_sets", "_position")
+    __slots__ = ("base", "k", "index_sets", "_position", "_indices")
 
     def __init__(self, base: SymplecticBase, k: int):
         n = base.space.n
@@ -80,6 +82,7 @@ class BaseSubset:
         self.k = k
         self.index_sets = admissible_index_sets(base.sigma, k)
         self._position = {s: i for i, s in enumerate(self.index_sets)}
+        self._indices = None
 
     def __len__(self):
         return len(self.index_sets)
@@ -95,7 +98,7 @@ class BaseSubset:
 
         Row reduces the points on every call.  This is the geometric
         route, for certify_inexact and the meet_at_subspace oracle; the
-        G_k index of a member comes from member_bits.
+        G_k index of a member comes from indices.
         """
         if index_set not in self._position:
             raise DimensionError(f"not a member index set: {sorted(index_set)}")
@@ -105,6 +108,32 @@ class BaseSubset:
     def members(self):
         """Every member as a subspace, aligned with index_sets."""
         return tuple(self.subspace(i) for i in self.index_sets)
+
+    def indices(self):
+        """The G_k index of every member, aligned with index_sets.
+
+        The span of an index set is the only member of G_k holding all
+        k+1 of its base points, so its index is the one bit of the AND
+        of their through_masks rows.  Built on the first call and kept.
+        """
+        if self._indices is None:
+            space = self.base.space
+            through = through_masks(space, self.k)
+            index = space.point_index()
+            rows = [through[index[normalize_point(x, space.p)]] for x in self.base.points]
+            out = []
+            for positions in self.index_sets:
+                acc = -1
+                for i in positions:
+                    acc &= rows[i]
+                j = single_bit(acc)
+                if j is None:
+                    raise RuntimeError(
+                        f"positions {sorted(positions)} span no single member of G_{self.k}"
+                    )
+                out.append(j)
+            self._indices = tuple(out)
+        return self._indices
 
     def select(self, plus=(), minus=()):
         """Members through every plus position avoiding every minus one."""
@@ -351,36 +380,16 @@ def _collection_key(collection):
     return tuple(sorted(tuple(sorted(i)) for i in collection))
 
 
-def member_bits(base: SymplecticBase, k, index_sets):
-    """The G_k member spanned by each index set, as a one-bit mask.
-
-    That span is the only member of G_k containing all k+1 of its base
-    points, so its bit is the AND of their through_masks entries.
-    """
-    space = base.space
-    through = through_masks(space, k)
-    index = space.point_index()
-    rows = [through[index[normalize_point(x, space.p)]] for x in base.points]
-    out = []
-    for positions in index_sets:
-        acc = -1
-        for i in positions:
-            acc &= rows[i]
-        if acc <= 0 or acc & (acc - 1):
-            raise RuntimeError(f"positions {sorted(positions)} span no single member of G_{k}")
-        out.append(acc)
-    return out
-
-
 def member_mask(bs: BaseSubset, collection) -> int:
     """Bitmask of a collection in the Grassmannian index order."""
     collection = tuple(collection)
     for index_set in collection:
         if index_set not in bs:
             raise DimensionError(f"not a member index set: {sorted(index_set)}")
+    indices = bs.indices()
     mask = 0
-    for bit in member_bits(bs.base, bs.k, collection):
-        mask |= bit
+    for index_set in collection:
+        mask |= 1 << indices[bs._position[index_set]]
     return mask
 
 
@@ -454,9 +463,8 @@ def maximal_inexact_oracle(bs: BaseSubset):
     exactly the maximal proper intersections.
     """
     space = bs.base.space
-    home_bits = member_bits(bs.base, bs.k, bs.index_sets)
-    home = sum(home_bits)
-    member_of = {bit.bit_length() - 1: i for bit, i in zip(home_bits, bs.index_sets)}
+    member_of = dict(zip(bs.indices(), bs.index_sets))
+    home = sum(1 << i for i in member_of)
     seen = {home & cover for cover in subset_universe(space, bs.k)}
     seen.discard(home)
     keep = []

@@ -98,8 +98,8 @@ def test_verify_all_report_bytes_are_pinned(run, tmp_path):
 
 
 # SHA-256 digests of the (3, 2) `verify --suite all --seed s1 --trials 2`
-# report pair, recorded before base-subset members were read off
-# member_bits in reconstruct and the verify suites.  The run covers the
+# report pair, recorded before base-subset members were read off G_k
+# indices in reconstruct and the verify suites.  The run covers the
 # sampled n = 3 branch of adjacency-preservation and the transport,
 # round-trip, preserves-base-subsets and common-base suites at (3, 2).
 VERIFY_ALL_S1_N3_P2_TRIALS2 = {
@@ -113,6 +113,22 @@ def test_verify_all_n3_p2_report_bytes_are_pinned(run, tmp_path):
     args = ("verify", "--n", 3, "--p", 2, "--suite", "all", "--seed", "s1", "--trials", 2)
     assert run(*args, "--out", out) == 0
     for suffix, digest in VERIFY_ALL_S1_N3_P2_TRIALS2.items():
+        assert hashlib.sha256(read_bytes(out.with_suffix(suffix))).hexdigest() == digest
+
+
+# SHA-256 digests of the (2, 5) `verify --suite all --seed s1` report pair,
+# recorded before BaseSubset.indices named the members of a base subset.
+# It is the one pinned run of common-base at p = 5.
+VERIFY_ALL_S1_N2_P5 = {
+    ".json": "8261b43e9857d542faea3527343a915e3a9cbd263d8345460008309b47a3872c",
+    ".csv": "1a16287ccda9565c06058272b732418decd9a47651634bd7013db666006f5bb7",
+}
+
+
+def test_verify_all_n2_p5_report_bytes_are_pinned(run, tmp_path):
+    out = tmp_path / "report.json"
+    assert run("verify", "--n", 2, "--p", 5, "--suite", "all", "--seed", "s1", "--out", out) == 0
+    for suffix, digest in VERIFY_ALL_S1_N2_P5.items():
         assert hashlib.sha256(read_bytes(out.with_suffix(suffix))).hexdigest() == digest
 
 
@@ -387,6 +403,34 @@ def test_reconstruct_outputs_are_pinned(run, tmp_path, n, p, k):
     atomic_write_json(f, payload)
     assert run("reconstruct", "--map", f, "--out", e, "--certificate", c) == 1
     assert hashlib.sha256(read_bytes(c)).hexdigest() == swapped
+
+
+# every command that writes, with one output path under a regular file;
+# the inputs h.json and f.json are written first by the test
+UNWRITABLE = {
+    "enumerate": ("enumerate", "--n", 2, "--p", 2, "--out", "blocker/counts.csv"),
+    "enumerate-cache": ("enumerate", "--n", 2, "--p", 2, "--cache", "blocker/c", "--out", "x.csv"),
+    "verify": (
+        "verify", "--n", 2, "--p", 2, "--suite", "sizes", "--seed", "s", "--out", "blocker/r.json"
+    ),
+    "induce": ("induce", "--map", "h.json", "--k", 1, "--out", "blocker/f.json"),
+    "reconstruct": ("reconstruct", "--map", "f.json", "--out", "blocker/e.json"),
+    "random-collineation": (
+        "random-collineation", "--n", 2, "--p", 2, "--seed", "s", "--out", "blocker/h.json"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_unwritable_output_is_a_usage_error(run, tmp_path, capsys, case):
+    assert run("random-collineation", "--n", 2, "--p", 2, "--seed", "w", "--out", "h.json") == 0
+    assert run("induce", "--map", "h.json", "--k", 1, "--out", "f.json") == 0
+    (tmp_path / "blocker").write_text("a regular file\n")
+    capsys.readouterr()
+    assert run(*UNWRITABLE[case]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert "blocker" in err and "Traceback" not in err
 
 
 def test_reconstruct_rejects_malformed_schema(run, tmp_path, capsys):

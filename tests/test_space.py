@@ -4,11 +4,19 @@ import pytest
 
 from sympol.errors import DimensionError, FeasibilityError
 from sympol.linalg import Subspace
-from sympol.space import ENUM_GRID, SymplecticSpace
+from sympol.space import ENUM_GRID, SymplecticSpace, single_bit
 
 
 def unit(dim, i):
     return tuple(int(j == i) for j in range(dim))
+
+
+def test_single_bit():
+    assert single_bit(1) == 0
+    assert single_bit(1 << 70) == 70
+    assert single_bit(0) is None
+    assert single_bit(-1) is None
+    assert single_bit((1 << 70) | 1) is None
 
 
 def test_unsupported_parameters_rejected():

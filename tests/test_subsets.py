@@ -13,7 +13,6 @@ from sympol.linalg import Subspace, vec_scale
 from sympol.space import BASE_GRID, SymplecticSpace
 from sympol.subsets import (
     BaseSubset,
-    admissible_index_sets,
     base_subset_size,
     canonical_type2,
     certify_inexact,
@@ -35,7 +34,6 @@ from sympol.subsets import (
     maximal_inexact_oracle,
     meet_at,
     meet_at_subspace,
-    member_bits,
     member_mask,
     ordered_type2_params,
     pins_every_point,
@@ -89,10 +87,9 @@ def test_membership_and_lookup(small_space):
     for bs in subsets_of(sp):
         some = bs.index_sets[0]
         assert some in bs
-        # member_bits names the members the row-reduced spans name
+        # indices names the members the row-reduced spans name
         g = grassmannian(sp, bs.k)
-        indices = [b.bit_length() - 1 for b in member_bits(bs.base, bs.k, bs.index_sets)]
-        assert indices == [g.index_of(s) for s in bs.members()]
+        assert bs.indices() == tuple(g.index_of(s) for s in bs.members())
         assert len(bs) < len(g)
         with pytest.raises(DimensionError):
             bs.subspace(frozenset(range(bs.k + 1)) | {sp.dim - 1})
@@ -420,8 +417,8 @@ def index_set_route_mask(base, k):
     """Base subset mask as the OR of one AND per admissible index set:
     the universe build before the threshold count (reference)."""
     mask = 0
-    for bit in member_bits(base, k, admissible_index_sets(base.sigma, k)):
-        mask |= bit
+    for i in BaseSubset(base, k).indices():
+        mask |= 1 << i
     return mask
 
 
@@ -462,6 +459,24 @@ def test_member_mask_normalizes_base_points():
         assert member_mask(BaseSubset(scaled, k), bs.index_sets) == full
         with pytest.raises(DimensionError):
             member_mask(bs, [frozenset(range(k + 1)) | {sp.n}])
+
+
+def test_indices_are_built_once(monkeypatch):
+    sp = SymplecticSpace.standard(2, 3)
+    bs = BaseSubset(random_base(sp, "once"), 1)
+    calls = []
+
+    def through_once(space, k):
+        if calls:
+            raise AssertionError("through_masks read twice")
+        calls.append(k)
+        return through_masks(space, k)
+
+    monkeypatch.setattr(subsets, "through_masks", through_once)
+    first = bs.indices()
+    assert bs.indices() is first
+    assert member_mask(bs, bs.index_sets) == sum(1 << i for i in first)
+    assert calls == [1]
 
 
 def test_member_mask_rejects_a_false_pairing():
