@@ -4,7 +4,8 @@ A symplectic base is a family of 2n projective points spanning the whole
 space such that each point is non-orthogonal to exactly one other; the
 partner assignment sigma is a fixed-point-free involution of the index
 set.  Scaling representatives never changes the structure, so bases are
-compared by their sorted point tuples.
+compared by their sorted point tuples, which key() builds on each call.
+The bases from enumerate_all_bases share one sigma tuple.
 
 Bases are generated three independent ways: directly from the standard
 coordinate frame, as images under random products of symplectic
@@ -43,13 +44,12 @@ from sympol.space import BASE_GRID, SymplecticSpace, bits, image_mask
 class SymplecticBase:
     """2n points with a fixed-point-free non-orthogonality pairing."""
 
-    __slots__ = ("space", "points", "sigma", "_key")
+    __slots__ = ("space", "points", "sigma")
 
     def __init__(self, space, points, sigma):
         self.space = space
         self.points = tuple(points)
         self.sigma = tuple(sigma)
-        self._key = tuple(sorted(self.points))
 
     @classmethod
     def standard(cls, space: SymplecticSpace) -> "SymplecticBase":
@@ -66,7 +66,7 @@ class SymplecticBase:
 
     def key(self):
         """Canonical identity: the sorted point tuple (sigma is implied)."""
-        return self._key
+        return tuple(sorted(self.points))
 
     def partner(self, i: int):
         return self.points[self.sigma[i]]
@@ -75,11 +75,11 @@ class SymplecticBase:
         return (
             isinstance(other, SymplecticBase)
             and self.space == other.space
-            and self._key == other._key
+            and self.key() == other.key()
         )
 
     def __hash__(self):
-        return hash((self.space, self._key))
+        return hash((self.space, self.key()))
 
     def __repr__(self):
         return f"SymplecticBase(space={self.space!r}, points={self.points})"
@@ -163,9 +163,6 @@ def perturb_pair(base: SymplecticBase, i: int, j: int, c: int) -> SymplecticBase
     return out
 
 
-_UNSCANNED = object()
-
-
 class PointMap:
     """An injective table from all points of one space to another.
 
@@ -173,7 +170,7 @@ class PointMap:
     so source and target frames stay separate.
     """
 
-    __slots__ = ("source", "target", "table", "_witness")
+    __slots__ = ("source", "target", "table")
 
     def __init__(self, source, target, table):
         if (source.n, source.p) != (target.n, target.p):
@@ -190,7 +187,6 @@ class PointMap:
         self.source = source
         self.target = target
         self.table = dict(table)
-        self._witness = _UNSCANNED
 
     @classmethod
     def identity(cls, space) -> "PointMap":
@@ -222,7 +218,7 @@ class PointMap:
         return PointMap(self.target, self.source, {y: x for x, y in self.table.items()})
 
     def orthogonality_witness(self):
-        """The first point pair on which orthogonality flips, or None; cached.
+        """The first point pair on which orthogonality flips, or None.
 
         Pairs (x, y) are ordered by the source point indices i < j of x
         and y.  Row i of the source ortho_masks, carried through the
@@ -231,23 +227,20 @@ class PointMap:
         flip relation is symmetric and never holds on the diagonal, so
         its earliest flip lies at some j > i.
         """
-        if self._witness is _UNSCANNED:
-            pts = self.source.all_points()
-            index = self.target.point_index()
-            to = [index[self.table[x]] for x in pts]
-            back = [0] * len(to)
-            for i, t in enumerate(to):
-                back[t] = i
-            tgt_rows = self.target.ortho_masks()
-            self._witness = None
-            for i, row in enumerate(self.source.ortho_masks()):
-                flips = image_mask(row, to) ^ tgt_rows[to[i]]
-                if flips:
-                    above = image_mask(flips, back) >> (i + 1)
-                    j = i + (above & -above).bit_length()
-                    self._witness = (pts[i], pts[j])
-                    break
-        return self._witness
+        pts = self.source.all_points()
+        index = self.target.point_index()
+        to = [index[self.table[x]] for x in pts]
+        back = [0] * len(to)
+        for i, t in enumerate(to):
+            back[t] = i
+        tgt_rows = self.target.ortho_masks()
+        for i, row in enumerate(self.source.ortho_masks()):
+            flips = image_mask(row, to) ^ tgt_rows[to[i]]
+            if flips:
+                above = image_mask(flips, back) >> (i + 1)
+                j = i + (above & -above).bit_length()
+                return pts[i], pts[j]
+        return None
 
     def preserves_orthogonality(self) -> bool:
         """True when orthogonality is preserved in both directions."""
@@ -380,12 +373,13 @@ def enumerate_all_bases(space: SymplecticSpace):
     npts = len(pts)
     full = (1 << npts) - 1
     n = space.n
+    sigma = standard_sigma(n)
     out = []
 
     def rec(pairs, orthoset, min_a):
         if len(pairs) == n:
             points = tuple(pts[a] for a, _ in pairs) + tuple(pts[b] for _, b in pairs)
-            out.append(SymplecticBase(space, points, standard_sigma(n)))
+            out.append(SymplecticBase(space, points, sigma))
             return
         cand_a = orthoset >> min_a << min_a
         for a in bits(cand_a):

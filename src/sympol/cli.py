@@ -838,6 +838,7 @@ def cmd_enumerate(cfg):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "p", "k", "count", "closed_form"])
     status = 0
+    lines = []
     for k in _layers(cfg):
         g = grassmannian(space, k)
         formula = grassmannian_size(cfg.n, cfg.p, k)
@@ -845,10 +846,12 @@ def cmd_enumerate(cfg):
         marker = "" if len(g) == formula else "  MISMATCH"
         if len(g) != formula:
             status = 1
-        print(f"G_{k}(n={cfg.n}, p={cfg.p}): {len(g)} elements (closed form {formula}){marker}")
+        lines.append(f"G_{k}(n={cfg.n}, p={cfg.p}): {len(g)} elements (closed form {formula}){marker}")
     out = cfg.out or os.path.join(cache, f"counts-n{cfg.n}-p{cfg.p}.csv")
     atomic_write_text(out, buf.getvalue())
-    print(f"counts written to {out}; caches under {cache}")
+    lines.append(f"counts written to {out}; caches under {cache}")
+    # printed only once every file is written, so a failed write prints nothing
+    print("\n".join(lines))
     return status
 
 
@@ -876,7 +879,6 @@ def cmd_verify(cfg):
         run_cfg.trials = cfg.trials if cfg.trials is not None else suite.default_trials
         rng = random.Random(f"{cfg.seed}:{name}")
         entries.extend(suite.runner(run_cfg, rng))
-    _print_entries(entries)
     overall = all(e.get("pass", True) for e in entries)
     report = {
         "command": "verify",
@@ -894,6 +896,7 @@ def cmd_verify(cfg):
     out = cfg.out or "verify-report.json"
     atomic_write_json(out, report)
     write_report_csv(os.path.splitext(out)[0] + ".csv", entries)
+    _print_entries(entries)
     checked = sum(1 for e in entries if not e.get("skipped"))
     skipped = len(entries) - checked
     print(f"{'PASS' if overall else 'FAIL'}: {checked} checks, {skipped} skipped; report at {out}")
@@ -936,8 +939,9 @@ def cmd_reconstruct(cfg):
         print(f"certificate written to {cert_path}", file=sys.stderr)
         return 1
     out = cfg.out or "embedding.json"
-    atomic_write_json(out, encode_point_map(h))
+    # certificate first: a failed write never leaves an embedding without one
     atomic_write_json(cert_path, certificate)
+    atomic_write_json(out, encode_point_map(h))
     print(f"point map written to {out}, certificate to {cert_path}")
     return 0
 

@@ -8,6 +8,8 @@ A Subspace is an immutable value identified by its reduced row echelon
 matrix, so equality, hashing and the global ordering (row-major
 lexicographic comparison of canonical matrices) are structural.  The
 empty subspace has projective dimension -1 and is a first-class value.
+The hash and points() are recomputed on each call; the retained record
+of a Grassmannian member's points is grassmann.member_points.
 """
 
 from __future__ import annotations
@@ -40,15 +42,13 @@ def vec_scale(c, v, p):
 class Subspace:
     """A subspace of GF(p)^ambient in canonical row echelon form."""
 
-    __slots__ = ("p", "ambient", "rows", "_hash", "_points")
+    __slots__ = ("p", "ambient", "rows")
 
     def __init__(self, p, ambient, rows):
         # rows must already be canonical; use Subspace.span otherwise
         self.p = p
         self.ambient = ambient
         self.rows = rows
-        self._hash = hash((p, ambient, rows))
-        self._points = None
 
     @classmethod
     def span(cls, p, ambient, vectors) -> "Subspace":
@@ -111,21 +111,19 @@ class Subspace:
         return Subspace(self.p, self.ambient, rows)
 
     def points(self):
-        """All projective points, sorted by the global ordering."""
-        if self._points is None:
-            p, rows = self.p, self.rows
-            pts = []
-            for i, base in enumerate(rows):
-                # leading coefficient 1 on row i makes each point appear once
-                tail = rows[i + 1 :]
-                for coeffs in product(range(p), repeat=len(tail)):
-                    v = list(base)
-                    for c, row in zip(coeffs, tail):
-                        if c:
-                            v = [(a + c * b) % p for a, b in zip(v, row)]
-                    pts.append(normalize_point(v, p))
-            self._points = tuple(sorted(pts))
-        return self._points
+        """All projective points in the global order, recomputed on each call."""
+        p, rows = self.p, self.rows
+        pts = []
+        for i, base in enumerate(rows):
+            # leading coefficient 1 on row i makes each point appear once
+            tail = rows[i + 1 :]
+            for coeffs in product(range(p), repeat=len(tail)):
+                v = list(base)
+                for c, row in zip(coeffs, tail):
+                    if c:
+                        v = [(a + c * b) % p for a, b in zip(v, row)]
+                pts.append(normalize_point(v, p))
+        return tuple(sorted(pts))
 
     def __eq__(self, other):
         return (
@@ -136,7 +134,7 @@ class Subspace:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.p, self.ambient, self.rows))
 
     def __lt__(self, other):
         self._check_compatible(other)

@@ -80,8 +80,9 @@ class GrassmannianMap:
         table = tuple(table)
         if len(table) != len(source):
             raise MapCheckError(f"table must cover all {len(source)} source elements")
+        bound = len(target)
         for j in table:
-            if not 0 <= j < len(target):
+            if not 0 <= j < bound:
                 raise MapCheckError(f"table value {j} out of range")
         self.source = source
         self.target = target

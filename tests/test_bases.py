@@ -31,7 +31,7 @@ from sympol.errors import (
     RecognitionError,
 )
 from sympol.linalg import vec_add
-from sympol.space import ENUM_GRID, SymplecticSpace
+from sympol.space import BASE_GRID, ENUM_GRID, SymplecticSpace
 
 
 def test_standard_base_recognized(small_space):
@@ -139,15 +139,38 @@ def test_pushed_rows_match_the_matrix_route(n, p):
         assert (base.points, base.sigma) == (image.points, image.sigma)
 
 
-@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,p", BASE_GRID)
 def test_enumeration_matches_group_order(n, p):
     space = SymplecticSpace.standard(n, p)
     bases = enumerate_all_bases(space)
     assert len(bases) == expected_base_count(n, p)
     assert len({b.key() for b in bases}) == len(bases)
+    # every enumerated base shares one sigma tuple
+    assert bases[0].sigma == standard_sigma(n)
+    assert all(b.sigma is bases[0].sigma for b in bases)
     sample = random.Random("enum").sample(bases, 25)
     for b in sample:
         assert recognize(space, b.points) == b.sigma
+
+
+def test_permuted_base_is_equal(small_space, rng):
+    # the same points listed in another order, with sigma relabelled to
+    # match, are the same base
+    base = random_base(small_space, "permuted")
+    d = small_space.dim
+    perm = list(range(d))
+    rng.shuffle(perm)
+    inv = [0] * d
+    for i, j in enumerate(perm):
+        inv[j] = i
+    points = [base.points[j] for j in perm]
+    sigma = [inv[base.sigma[j]] for j in perm]
+    assert recognize(small_space, points) == tuple(sigma)
+    moved = SymplecticBase(small_space, points, sigma)
+    assert moved.points != base.points
+    assert moved == base and hash(moved) == hash(base)
+    assert moved.key() == base.key() == tuple(sorted(base.points))
+    assert perturb_one(base, 0, 1) != base
 
 
 def test_known_counts():

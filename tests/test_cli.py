@@ -415,6 +415,9 @@ UNWRITABLE = {
     ),
     "induce": ("induce", "--map", "h.json", "--k", 1, "--out", "blocker/f.json"),
     "reconstruct": ("reconstruct", "--map", "f.json", "--out", "blocker/e.json"),
+    "reconstruct-certificate": (
+        "reconstruct", "--map", "f.json", "--out", "e.json", "--certificate", "blocker/c.json"
+    ),
     "random-collineation": (
         "random-collineation", "--n", 2, "--p", 2, "--seed", "s", "--out", "blocker/h.json"
     ),
@@ -428,9 +431,13 @@ def test_unwritable_output_is_a_usage_error(run, tmp_path, capsys, case):
     (tmp_path / "blocker").write_text("a regular file\n")
     capsys.readouterr()
     assert run(*UNWRITABLE[case]) == 2
-    err = capsys.readouterr().err
+    # nothing is printed before the write fails, and no embedding is left
+    # without its certificate
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert "blocker" in err and "Traceback" not in err
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_reconstruct_rejects_malformed_schema(run, tmp_path, capsys):

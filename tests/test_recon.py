@@ -197,6 +197,14 @@ def test_map_validation(small_space):
         GrassmannianMap(g0, g0, range(len(g0) - 1))
     with pytest.raises(MapCheckError, match="range"):
         GrassmannianMap(g0, g0, [len(g0)] * len(g0))
+    # the first bad entry in table order is named, below or above the range
+    table = list(range(len(g0)))
+    table[2], table[5] = -1, len(g0) + 3
+    with pytest.raises(MapCheckError, match=r"^table value -1 out of range$"):
+        GrassmannianMap(g0, g0, table)
+    table[2] = 0
+    with pytest.raises(MapCheckError, match=rf"^table value {len(g0) + 3} out of range$"):
+        GrassmannianMap(g0, g0, table)
     if sp.n > 1:
         with pytest.raises(DimensionError):
             GrassmannianMap(g0, grassmannian(sp, 1), range(len(g0)))
@@ -465,8 +473,12 @@ def test_orthogonality_witness(n, p):
     for bad in maps:
         want = orthogonality_witness_reference(bad)
         assert want is not None
+        # the same pair on every call, before and after
+        # preserves_orthogonality() scans the map
+        assert bad.orthogonality_witness() == want
         assert bad.orthogonality_witness() == want
         assert not bad.preserves_orthogonality()
+        assert bad.orthogonality_witness() == want
 
 
 def assert_certificate_shape(cert, space, k):
