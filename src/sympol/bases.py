@@ -37,7 +37,7 @@ from sympol.errors import (
     RecognitionError,
     SpaceMismatchError,
 )
-from sympol.linalg import normalize_point, vec_add, vec_scale
+from sympol.linalg import normalize_point, point_images, vec_add, vec_scale
 from sympol.space import BASE_GRID, SymplecticSpace, bits, image_mask
 
 
@@ -313,34 +313,17 @@ def random_collineation(space: SymplecticSpace, seed) -> PointMap:
 
     Transvections preserve the form exactly, so the result preserves
     orthogonality in both directions; products of length at least 4n
-    reach the whole group.  The points are tabulated in one pass over
-    all_points(), with no matrix product.  A point x whose leading 1
-    sits at position l is e_l + c t, where t is the point that starts
-    with 1 at x's next nonzero position m and c = x[m]; t has more
-    leading zeros, so it comes earlier in the order, and x's image
-    vector is row l plus c times t's.  Image vectors are kept by the
-    suffix x[l:], which names the point.  The matrix route
-    (transvection_matrix, a mat_mul chain and PointMap.from_matrix)
-    gives the same table and is the tests' oracle.
+    reach the whole group.  The image vectors of all_points(), in its
+    order, are point_images of the pushed rows, one vector sum each
+    with no matrix product: a point x whose leading 1 sits at position
+    l is e_l + c t for an earlier point t, so x's image vector is row l
+    plus c times t's.  The matrix route (transvection_matrix, a mat_mul
+    chain and PointMap.from_matrix) gives the same table and is the
+    tests' oracle.
     """
-    rows = _pushed_rows(space, seed)
-    p, d = space.p, space.dim
-    inv = _kernels.inverses(p)
-    vectors = {}
-    table = {}
-    for x in space.all_points():
-        lead = x.index(1)
-        y = rows[lead]
-        for m in range(lead + 1, d):
-            c = x[m]
-            if c:
-                t = x[m:]
-                if c != 1:
-                    t = tuple((inv[c] * a) % p for a in t)
-                y = [(a + c * b) % p for a, b in zip(y, vectors[t])]
-                break
-        vectors[x[lead:]] = y
-        table[x] = normalize_point(y, p)
+    p = space.p
+    images = point_images(_pushed_rows(space, seed), p)
+    table = {x: normalize_point(y, p) for x, y in zip(space.all_points(), images)}
     return PointMap(space, space, table)
 
 

@@ -10,10 +10,20 @@ lexicographic comparison of canonical matrices) are structural.  The
 empty subspace has projective dimension -1 and is a first-class value.
 The hash and points() are recomputed on each call; the retained record
 of a Grassmannian member's points is grassmann.member_points.
+
+points() reads the points off the canonical rows S: for coefficient
+points c < c' of PG(m-1, p), the first index i where they differ decides
+the comparison of c.S and c'.S at S's pivot column c_i, since earlier
+columns depend only on the earlier, equal coefficients.  So c -> c.S
+keeps the global order and each image has leading entry 1, and a fixed
+recipe per (p, m) lists the points with one vector sum each, with no
+sort or normalization.  Rows passed to the constructor must therefore
+be canonical; every construction in the package meets this.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from sympol import _kernels
@@ -37,6 +47,51 @@ def vec_add(u, v, p):
 
 def vec_scale(c, v, p):
     return tuple((c * a) % p for a in v)
+
+
+@lru_cache(maxsize=None)
+def _point_recipe(p, m):
+    """How to build each point of PG(m-1, p), in the global order.
+
+    Entry (l, c, t) makes the point x = e_l + c x_t, where l is x's
+    leading position and x_t is the point with index t that starts with
+    1 at x's next nonzero position, c being x's entry there; c = 0
+    means x = e_l.  x_t has more leading zeros, so t is earlier in the
+    order.  Points with leading position l come after those with a
+    later one, each run ordered by its tail.
+    """
+    inv = _kernels.inverses(p)
+    index = {}
+    recipe = []
+    for lead in range(m - 1, -1, -1):
+        for tail in product(range(p), repeat=m - 1 - lead):
+            x = (0,) * lead + (1,) + tail
+            nxt = next((j for j, a in enumerate(tail, lead + 1) if a), None)
+            if nxt is None:
+                recipe.append((lead, 0, -1))
+            else:
+                c = x[nxt]
+                t = (0,) * nxt + tuple((inv[c] * a) % p for a in x[nxt:])
+                recipe.append((lead, c, index[t]))
+            index[x] = len(index)
+    return tuple(recipe)
+
+
+def point_images(rows, p):
+    """The vectors c.rows for the points c of PG(m-1, p), m = len(rows),
+    in the global order of the c, one vector sum each.
+
+    Follows _point_recipe: the image of e_l + c x_t is rows[l] plus c
+    times the image of x_t, listed earlier.  The rows need not be
+    canonical or independent, and the images are not normalized.
+    """
+    out = []
+    for lead, c, t in _point_recipe(p, len(rows)):
+        row = rows[lead]
+        if c:
+            row = tuple((a + c * b) % p for a, b in zip(row, out[t]))
+        out.append(row)
+    return tuple(out)
 
 
 class Subspace:
@@ -111,19 +166,15 @@ class Subspace:
         return Subspace(self.p, self.ambient, rows)
 
     def points(self):
-        """All projective points in the global order, recomputed on each call."""
-        p, rows = self.p, self.rows
-        pts = []
-        for i, base in enumerate(rows):
-            # leading coefficient 1 on row i makes each point appear once
-            tail = rows[i + 1 :]
-            for coeffs in product(range(p), repeat=len(tail)):
-                v = list(base)
-                for c, row in zip(coeffs, tail):
-                    if c:
-                        v = [(a + c * b) % p for a, b in zip(v, row)]
-                pts.append(normalize_point(v, p))
-        return tuple(sorted(pts))
+        """All projective points in the global order, recomputed on each call.
+
+        The rows S must be canonical, as the constructor requires.  The
+        points are point_images of S: the images c.S of the points c of
+        PG(m-1, p) (m = vdim), one vector sum each.  Nothing is sorted
+        or normalized: each c.S has leading entry 1, and c -> c.S keeps
+        the global order (see the module docstring).
+        """
+        return point_images(self.rows, self.p)
 
     def __eq__(self, other):
         return (

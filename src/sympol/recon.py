@@ -14,12 +14,12 @@ per call as a list of image point indices, and each member's points off
 member_points, built once per (space, k), so it enumerates no member's
 points per map.  check_top_transport, the check on each descent step,
 reads each source member's hyperplanes off hyperplane_table, which
-lists them geometrically with hyperplanes_of (the coordinate
-hyperplanes of GF(p)^m mapped through the member's rows) once per
-(space, k), and reads the containment of each hyperplane's image off
-the image member's hyper_masks row.  The final orthogonality check
-compares ortho_masks rows through the point table
-(PointMap.orthogonality_witness).
+lists them geometrically with hyperplanes_of once per (space, k): the
+coordinate hyperplanes of GF(p)^m, named by point indices, read off the
+member's points(), with no sort or row reduction per member.  It reads
+the containment of each hyperplane's image off the image member's
+hyper_masks row.  The final orthogonality check compares ortho_masks
+rows through the point table (PointMap.orthogonality_witness).
 
 Base subsets are named by G_k index alone.  BaseSubset.indices gives
 the G_k index of each member of a base's layer subset, so image_base
@@ -347,8 +347,10 @@ def hyperplane_table(space, k):
 
     Row s lists the hyperplanes_of of member s in the order it returns
     them, located in G_(k-1) by index_of.  Built once per (space, k)
-    from the geometry alone, never from star_table or the mask tables,
-    so it stays an independent check of descend.
+    from the geometry alone (each member's points() read at the point
+    indices of the coordinate hyperplanes), never from star_table,
+    through_masks or the mask tables, so it stays an independent check
+    of descend.
     """
     low = grassmannian(space, k - 1)
     return tuple(

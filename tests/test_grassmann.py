@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -73,6 +74,27 @@ def test_layer_digests_are_pinned_at_3_3(tmp_path, monkeypatch):
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
+# _levelwise forms s + q by clearing q's pivot column in s's rows; every
+# pair it visits while building the top layer is checked against rref.
+@pytest.mark.parametrize("n,p", CHECK_GRID)
+def test_one_point_extensions_match_row_reduction(n, p, monkeypatch):
+    sp = SymplecticSpace.standard(n, p)
+    inner = grassmann._one_point_extensions
+    visited = []
+
+    def checked(rows, candidates, p):
+        candidates = tuple(candidates)
+        for q, out in zip(candidates, inner(rows, candidates, p), strict=True):
+            assert out == _kernels.rref(rows + (q,), sp.dim, p)
+            visited.append(len(rows))
+            yield out
+
+    monkeypatch.setattr(grassmann, "_one_point_extensions", checked)
+    top_layer = grassmann._levelwise(sp, sp.n - 1)
+    assert [s.rows for s in top_layer] == [s.rows for s in grassmannian(sp, sp.n - 1)]
+    assert set(visited) == set(range(sp.n))
+
+
 @pytest.mark.parametrize("n,p", CHECK_GRID)
 def test_through_masks_closed_forms(n, p, tmp_path, monkeypatch):
     # the members through a point are G_(k-1) of the rank n - 1 quotient
@@ -87,6 +109,31 @@ def test_through_masks_closed_forms(n, p, tmp_path, monkeypatch):
         points_per_member = (p ** (k + 1) - 1) // (p - 1)
         for m in range(len(grassmannian(sp, k))):
             assert sum(mask >> m & 1 for mask in through) == points_per_member
+
+
+def _points_by_scan(s):
+    """The normalized vectors of GF(p)^d inside s, in lexicographic order."""
+    return tuple(
+        v
+        for v in product(range(s.p), repeat=s.ambient)
+        if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1 and s.contains_vector(v)
+    )
+
+
+# points() pushes canonical rows through a recipe with no sort or
+# normalization; a scan of every vector of the ambient space checks it.
+@pytest.mark.parametrize("n,p", CHECK_GRID)
+def test_points_match_vector_scan(n, p):
+    sp = SymplecticSpace.standard(n, p)
+    for k in layers(sp):
+        for s in grassmannian(sp, k):
+            assert s.points() == _points_by_scan(s)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("m", (0, 1, 2, 3, 4))
+def test_full_points_match_vector_scan(p, m):
+    assert Subspace.full(p, m).points() == _points_by_scan(Subspace.full(p, m))
 
 
 def test_point_layer_matches_space(small_space):
@@ -183,15 +230,28 @@ def test_hyperplanes_match_row_reduction(n, p):
             assert all(h.rows == _kernels.rref(h.rows, h.ambient, h.p) for h in hyps)
 
 
+# Each entry names a hyperplane's canonical basis by the indices of its rows
+# among the points of PG(m-1, p); sorting the index tuples sorts the bases,
+# and every functional has its own kernel among them.
 @pytest.mark.parametrize("p", (2, 3, 5))
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_coordinate_hyperplanes(p, m):
+    coords = Subspace.full(p, m).points()
     table = grassmann._coordinate_hyperplanes(p, m)
-    assert len(set(table)) == len(table) == (p**m - 1) // (p - 1)
-    for phi, basis in zip(Subspace.full(p, m).points(), table):
+    assert len(set(table)) == len(table) == len(coords) == (p**m - 1) // (p - 1)
+    assert list(table) == sorted(table)
+    bases = [tuple(coords[i] for i in idx) for idx in table]
+    assert bases == sorted(bases)
+    kernels = []
+    for basis in bases:
         assert len(basis) == m - 1
         assert basis == _kernels.rref(basis, m, p)
-        assert all(sum(a * b for a, b in zip(phi, row)) % p == 0 for row in basis)
+        kernels += [
+            phi
+            for phi in coords
+            if all(sum(a * b for a, b in zip(phi, row)) % p == 0 for row in basis)
+        ]
+    assert sorted(kernels) == list(coords)
 
 
 def test_star_membership_and_size(small_space):
@@ -330,10 +390,36 @@ def _other_format(sp, obj):
     obj["format"] = grassmann.CACHE_FORMAT + 1
 
 
+def _entry_as(value):
+    # the leading 1 of the first member's first row, replaced by a value
+    # that int() would turn back into 1
+    def corrupt(sp, obj):
+        row = obj["elements"][0][0]
+        row[row.index(1)] = value
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_truncate, _swap_in_non_isotropic, _drop_format, _other_format],
-    ids=["truncated", "non-isotropic", "no-format", "other-format"],
+    [
+        _truncate,
+        _swap_in_non_isotropic,
+        _drop_format,
+        _other_format,
+        _entry_as("1"),
+        _entry_as(1.0),
+        _entry_as(True),
+    ],
+    ids=[
+        "truncated",
+        "non-isotropic",
+        "no-format",
+        "other-format",
+        "string-entry",
+        "float-entry",
+        "bool-entry",
+    ],
 )
 def test_corrupt_disk_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     sp = SymplecticSpace.standard(2, 3)
