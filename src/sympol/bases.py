@@ -389,13 +389,7 @@ def enumerate_bases_orbit(space: SymplecticSpace):
         for c in range(1, p):
             mat = transvection_matrix(space, v, c)
             perms.append(tuple(index[normalize_point(mat_apply(x, mat, p), p)] for x in pts))
-
-    def key_of(base):
-        idx = [index[x] for x in base.points]
-        n = space.n
-        return tuple(sorted(tuple(sorted((idx[i], idx[n + i]))) for i in range(n)))
-
-    start = key_of(SymplecticBase.standard(space))
+    start = base_key_pairs(space, SymplecticBase.standard(space))
     seen = {start}
     frontier = [start]
     while frontier:

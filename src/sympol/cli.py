@@ -7,11 +7,12 @@ Subcommands
   reconstruct          recover a point map from a layer-map file
   random-collineation  emit a seeded symplectic collineation
 
-Every command is deterministic for a fixed seed, and randomized suites
-refuse to run without one.  Reports are JSON with a CSV summary next
-to them.  Exit status 0 means everything checked passed, 1 means a
-mathematical check failed (witnesses are in the report), 2 means the
-request itself was unusable or infeasible.
+Every command is deterministic for a fixed seed.  A verify suite
+registered with a trial count is seeded: it draws its own stream from
+the seed and refuses to run without --seed.  Reports are JSON with a
+CSV summary next to them.  Exit status 0 means everything checked
+passed, 1 means a mathematical check failed (witnesses are in the
+report), 2 means the request itself was unusable or infeasible.
 """
 
 from __future__ import annotations
@@ -84,33 +85,31 @@ from sympol.subsets import (
 
 
 class Suite:
-    __slots__ = ("name", "anchor", "runner", "randomized", "grid", "default_trials")
+    __slots__ = ("anchor", "runner", "grid", "trials")
 
-    def __init__(self, name, anchor, runner, randomized, grid, default_trials):
-        self.name = name
+    def __init__(self, anchor, runner, grid, trials):
         self.anchor = anchor
         self.runner = runner
-        self.randomized = randomized
         self.grid = grid
-        self.default_trials = default_trials
+        self.trials = trials
 
 
 SUITES: dict[str, Suite] = {}
 
 
-def _suite(name, anchor, randomized=False, grid=None, default_trials=1):
+def _suite(name, anchor, grid=None, trials=None):
+    """Register a runner; a default trial count marks the suite seeded."""
+
     def deco(fn):
-        SUITES[name] = Suite(name, anchor, fn, randomized, grid, default_trials)
+        SUITES[name] = Suite(anchor, fn, grid, trials)
         return fn
 
     return deco
 
 
-def _entry(name, check, params, expected, actual, witness=None):
+def _entry(check, params, expected, actual, witness=None):
     ok = expected == actual
     e = {
-        "suite": name,
-        "anchor": SUITES[name].anchor,
         "check": check,
         "params": params,
         "expected": expected,
@@ -122,15 +121,8 @@ def _entry(name, check, params, expected, actual, witness=None):
     return e
 
 
-def _skip(name, check, params, reason):
-    return {
-        "suite": name,
-        "anchor": SUITES[name].anchor,
-        "check": check,
-        "params": params,
-        "skipped": True,
-        "reason": reason,
-    }
+def _skip(check, params, reason):
+    return {"check": check, "params": params, "skipped": True, "reason": reason}
 
 
 def _layers(cfg):
@@ -148,46 +140,40 @@ def _params(cfg, k=None, **extra):
 @_suite(
     "sizes",
     "|B_k| = 2^(k+1)*C(n,k+1) and s_k = s_(k+1)*(k+2)/(2*(n-k-1))",
-    randomized=True,
-    default_trials=100,
+    trials=100,
 )
-def run_sizes(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_sizes(space, cfg, trials, rng):
     entries = []
     for k in _layers(cfg):
         expected = base_subset_size(cfg.n, k)
         actual = expected
         witness = None
-        for t in range(cfg.trials):
+        for t in range(trials):
             got = len(BaseSubset(random_base(space, rng.getrandbits(64)), k))
             if got != expected:
                 actual, witness = got, f"trial {t}"
                 break
-        entries.append(
-            _entry("sizes", "member-count", _params(cfg, k, trials=cfg.trials), expected, actual, witness)
-        )
+        entries.append(_entry("member-count", _params(cfg, k, trials=trials), expected, actual, witness))
         if k < cfg.n - 1:
             from_above = base_subset_size(cfg.n, k + 1) * (k + 2) // (2 * (cfg.n - k - 1))
-            entries.append(_entry("sizes", "recurrence", _params(cfg, k), expected, from_above))
+            entries.append(_entry("recurrence", _params(cfg, k), expected, from_above))
     return entries
 
 
 @_suite(
     "common-base",
     "any two totally isotropic subspaces lie in a common symplectic base",
-    randomized=True,
     grid=ENUM_GRID,
-    default_trials=1000,
+    trials=1000,
 )
-def run_common_base(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_common_base(space, cfg, trials, rng):
     entries = []
     for k in _layers(cfg):
         g = grassmannian(space, k)
         if (cfg.n, cfg.p) == (2, 2):
             pairs = [(i, j) for i in range(len(g)) for j in range(i, len(g))]
         else:
-            pairs = [(rng.randrange(len(g)), rng.randrange(len(g))) for _ in range(cfg.trials)]
+            pairs = [(rng.randrange(len(g)), rng.randrange(len(g))) for _ in range(trials)]
         ok = 0
         witness = None
         for i, j in pairs:
@@ -201,9 +187,7 @@ def run_common_base(cfg, rng):
                 ok += 1
             else:
                 witness = witness or f"pair ({i}, {j}): member missing from the built base"
-        entries.append(
-            _entry("common-base", "pair-coverage", _params(cfg, k, pairs=len(pairs)), len(pairs), ok, witness)
-        )
+        entries.append(_entry("pair-coverage", _params(cfg, k, pairs=len(pairs)), len(pairs), ok, witness))
     return entries
 
 
@@ -213,8 +197,7 @@ def run_common_base(cfg, rng):
     "R(i,j) = B(+i,+j) | B(+s(i),+s(j)) | B(-i,-s(j)) with s the partner involution",
     grid=BASE_GRID,
 )
-def run_classification(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_classification(space, cfg, trials, rng):
     entries = []
     for k in _layers(cfg):
         bs = BaseSubset(SymplecticBase.standard(space), k)
@@ -224,15 +207,10 @@ def run_classification(cfg, rng):
         expected_count = (2 * cfg.n if k < cfg.n - 1 else 0) + (
             2 * cfg.n * (cfg.n - 1) if k >= 1 else 0
         )
-        entries.append(
-            _entry("classification", "family-count", _params(cfg, k), expected_count, len(oracle))
-        )
-        diff = sorted(
-            sorted(map(sorted, coll)) for coll in (oracle ^ constructed)
-        )
+        entries.append(_entry("family-count", _params(cfg, k), expected_count, len(oracle)))
+        diff = sorted(sorted(map(sorted, coll)) for coll in (oracle ^ constructed))
         entries.append(
             _entry(
-                "classification",
                 "oracle-equals-construction",
                 _params(cfg, k),
                 0,
@@ -245,7 +223,6 @@ def run_classification(cfg, rng):
         if k < cfg.n - 1:
             entries.append(
                 _entry(
-                    "classification",
                     "first-type-size",
                     _params(cfg, k),
                     [first_type_size(cfg.n, k)],
@@ -255,7 +232,6 @@ def run_classification(cfg, rng):
         if k >= 1:
             entries.append(
                 _entry(
-                    "classification",
                     "second-type-size",
                     _params(cfg, k),
                     [second_type_size(cfg.n, k)],
@@ -270,8 +246,7 @@ def run_classification(cfg, rng):
     "complement disjointness degrees by layer: first type 2n-1 at k = 0 and 4n-3 "
     "for 0 < k < n-1; second type 4 for 0 < k < n-1 and 4n^2-12n+14 at k = n-1 (n <= 3)",
 )
-def run_complement_counts(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_complement_counts(space, cfg, trials, rng):
     n = cfg.n
     entries = []
     for k in _layers(cfg):
@@ -280,29 +255,22 @@ def run_complement_counts(cfg, rng):
         first = sorted({c for lab, c in degs if lab[0] == "first"})
         second = sorted({c for lab, c in degs if lab[0] == "second"})
         if k == 0:
-            entries.append(_entry("complement-counts", "first-type-degree", _params(cfg, k), [2 * n - 1], first))
-            entries.append(_entry("complement-counts", "second-type-degrees", _params(cfg, k), [], second))
+            entries.append(_entry("first-type-degree", _params(cfg, k), [2 * n - 1], first))
+            entries.append(_entry("second-type-degrees", _params(cfg, k), [], second))
             expected_distinct = 2 * n
         elif k < n - 1:
-            entries.append(_entry("complement-counts", "first-type-degree", _params(cfg, k), [4 * n - 3], first))
-            entries.append(_entry("complement-counts", "second-type-degree", _params(cfg, k), [4], second))
+            entries.append(_entry("first-type-degree", _params(cfg, k), [4 * n - 3], first))
+            entries.append(_entry("second-type-degree", _params(cfg, k), [4], second))
             expected_distinct = 2 * n * n
         else:
-            entries.append(_entry("complement-counts", "first-type-degrees", _params(cfg, k), [], first))
+            entries.append(_entry("first-type-degrees", _params(cfg, k), [], first))
             if n <= 3:
                 entries.append(
-                    _entry(
-                        "complement-counts",
-                        "second-type-degree",
-                        _params(cfg, k),
-                        [4 * n * n - 12 * n + 14],
-                        second,
-                    )
+                    _entry("second-type-degree", _params(cfg, k), [4 * n * n - 12 * n + 14], second)
                 )
             else:
                 entries.append(
                     _skip(
-                        "complement-counts",
                         "second-type-degree",
                         _params(cfg, k),
                         "top-layer degree constant derived only for n <= 3",
@@ -311,7 +279,6 @@ def run_complement_counts(cfg, rng):
             expected_distinct = 2 * n * (n - 1)
         entries.append(
             _entry(
-                "complement-counts",
                 "distinct-complements",
                 _params(cfg, k),
                 expected_distinct,
@@ -326,14 +293,12 @@ def run_complement_counts(cfg, rng):
     "at k = n-1 the distinct complements containing both members number C(m+1,2) "
     "with m the meet pdim; for n >= 3 adjacency holds exactly when the count is C(k,2)",
 )
-def run_adjacency_count(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_adjacency_count(space, cfg, trials, rng):
     n = cfg.n
     k = n - 1
     if cfg.k is not None and cfg.k != k:
         return [
             _skip(
-                "adjacency-count",
                 "count-formula",
                 _params(cfg, cfg.k),
                 "complement counting reads adjacency only in the top layer",
@@ -356,22 +321,12 @@ def run_adjacency_count(cfg, rng):
                 witness = witness or [sorted(sa), sorted(ua), cnt]
             if (len(sa & ua) == k) != (cnt == comb(k, 2)):
                 iff_bad += 1
-    entries = [
-        _entry(
-            "adjacency-count",
-            "count-formula",
-            _params(cfg, k, pairs=pairs),
-            0,
-            formula_bad,
-            witness,
-        )
-    ]
+    entries = [_entry("count-formula", _params(cfg, k, pairs=pairs), 0, formula_bad, witness)]
     if n >= 3:
-        entries.append(_entry("adjacency-count", "adjacency-iff", _params(cfg, k, pairs=pairs), 0, iff_bad))
+        entries.append(_entry("adjacency-iff", _params(cfg, k, pairs=pairs), 0, iff_bad))
     else:
         entries.append(
             _skip(
-                "adjacency-count",
                 "adjacency-iff",
                 _params(cfg, k),
                 "for n = 2 disjoint top-layer members also share C(k,2) = 0 complements",
@@ -385,15 +340,13 @@ def run_adjacency_count(cfg, rng):
     "for 0 < k < n-1, B(+i,-j) disjoint from B(+i',-j') forces i' = s(i) or "
     "i' = j or j' = i; at k = n-1 the fourth case j' = s(j) joins",
 )
-def run_disjoint_criterion(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_disjoint_criterion(space, cfg, trials, rng):
     sigma = SymplecticBase.standard(space).sigma
     entries = []
     for k in _layers(cfg):
         if k == 0:
             entries.append(
                 _skip(
-                    "disjoint-criterion",
                     "disjointness-implication",
                     _params(cfg, k),
                     "at the point layer B(+i,-j) = {p_i}, so disjointness puts no constraint on j and j'",
@@ -418,7 +371,6 @@ def run_disjoint_criterion(cfg, rng):
                     witness = witness or [i, j, i2, j2]
         entries.append(
             _entry(
-                "disjoint-criterion",
                 "disjointness-implication-top" if top else "disjointness-implication",
                 _params(cfg, k, disjoint_pairs=checked),
                 0,
@@ -433,16 +385,14 @@ def run_disjoint_criterion(cfg, rng):
     "inexact-certificate",
     "a pair (i,j) with j in the meet at i, s(i) in the meet at s(j), and j outside "
     "{i, s(i)} certifies the collection inexact",
-    randomized=True,
-    default_trials=25,
+    trials=25,
 )
-def run_inexact_certificate(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_inexact_certificate(space, cfg, trials, rng):
     entries = []
     for k in _layers(cfg):
         bs = BaseSubset(random_base(space, rng.getrandbits(64)), k)
         collections = [members for _, members in maximal_inexact_families(bs)]
-        for _ in range(cfg.trials):
+        for _ in range(trials):
             size = rng.randrange(2, len(bs) + 1)
             collections.append(frozenset(rng.sample(bs.index_sets, size)))
         witnessed = []
@@ -459,7 +409,6 @@ def run_inexact_certificate(cfg, rng):
                 witness = witness or str(exc)
         entries.append(
             _entry(
-                "inexact-certificate",
                 "witnessed-collections-certified",
                 _params(cfg, k, collections=len(collections)),
                 len(witnessed),
@@ -471,7 +420,6 @@ def run_inexact_certificate(cfg, rng):
             contradictions = sum(1 for coll in witnessed if is_exact(bs, coll))
             entries.append(
                 _entry(
-                    "inexact-certificate",
                     "witness-implies-inexact",
                     _params(cfg, k, witnessed=len(witnessed)),
                     0,
@@ -481,7 +429,6 @@ def run_inexact_certificate(cfg, rng):
         else:
             entries.append(
                 _skip(
-                    "inexact-certificate",
                     "witness-implies-inexact",
                     _params(cfg, k),
                     "exhaustive exactness oracle is limited to the base-enumerable grid",
@@ -495,7 +442,7 @@ def run_inexact_certificate(cfg, rng):
     "the two maximal-inexact sizes c1 = |B(-i)| and c2 = |R(i,j)| realize every "
     "order: c1 > c2, c1 = c2, c1 < c2",
 )
-def run_trichotomy(cfg, rng):
+def run_trichotomy(space, cfg, trials, rng):
     witnesses = ((3, 1), (4, 2), (5, 3))
     signs = {}
     entries = []
@@ -505,12 +452,11 @@ def run_trichotomy(cfg, rng):
         c1 = len(type1_members(bs, 0))
         c2 = len(type2_members(bs, 0, 1))
         params = {"n": n, "k": k, "c1": c1, "c2": c2}
-        entries.append(_entry("trichotomy", "first-type-size", params, first_type_size(n, k), c1))
-        entries.append(_entry("trichotomy", "second-type-size", params, second_type_size(n, k), c2))
+        entries.append(_entry("first-type-size", params, first_type_size(n, k), c1))
+        entries.append(_entry("second-type-size", params, second_type_size(n, k), c2))
         signs[">" if c1 > c2 else ("<" if c1 < c2 else "=")] = (n, k)
     entries.append(
         _entry(
-            "trichotomy",
             "all-orders-realized",
             {"witnesses": {s: list(w) for s, w in sorted(signs.items())}},
             ["<", "=", ">"],
@@ -523,12 +469,10 @@ def run_trichotomy(cfg, rng):
 @_suite(
     "adjacency-preservation",
     "a map induced by a collineation preserves adjacency, and ortho-adjacency below the top layer",
-    randomized=True,
     grid=BASE_GRID,
-    default_trials=100,
+    trials=100,
 )
-def run_adjacency_preservation(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_adjacency_preservation(space, cfg, trials, rng):
     entries = []
     for k in _layers(cfg):
         g = grassmannian(space, k)
@@ -542,7 +486,7 @@ def run_adjacency_preservation(cfg, rng):
         ortho_bad = 0
         pairs_checked = 0
         witness = None
-        for t in range(cfg.trials):
+        for t in range(trials):
             tb = induce(random_collineation(space, rng.getrandbits(64)), k).table
             if exhaustive:
                 for i in range(len(g)):
@@ -566,29 +510,25 @@ def run_adjacency_preservation(cfg, rng):
                                 ortho_bad += 1
                                 witness = witness or f"trial {t}, pair ({i}, {j})"
         scope = "all-pairs" if exhaustive else "pairs-within-50-base-subsets"
-        params = _params(cfg, k, trials=cfg.trials, pairs=pairs_checked, scope=scope)
-        entries.append(_entry("adjacency-preservation", "adjacency-transported", params, 0, adj_bad, witness))
+        params = _params(cfg, k, trials=trials, pairs=pairs_checked, scope=scope)
+        entries.append(_entry("adjacency-transported", params, 0, adj_bad, witness))
         if k < cfg.n - 1:
-            entries.append(
-                _entry("adjacency-preservation", "ortho-adjacency-transported", params, 0, ortho_bad, witness)
-            )
+            entries.append(_entry("ortho-adjacency-transported", params, 0, ortho_bad, witness))
     return entries
 
 
 @_suite(
     "preserves-base-subsets",
     "a map induced by a collineation sends every base subset to a base subset",
-    randomized=True,
     grid=BASE_GRID,
-    default_trials=25,
+    trials=25,
 )
-def run_preserves_base_subsets(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_preserves_base_subsets(space, cfg, trials, rng):
     entries = []
     for k in _layers(cfg):
         ok = 0
         witness = None
-        for t in range(cfg.trials):
+        for t in range(trials):
             f = induce(random_collineation(space, rng.getrandbits(64)), k)
             bases = (SymplecticBase.standard(space),) + tuple(
                 random_base(space, rng.getrandbits(64)) for _ in range(3)
@@ -600,10 +540,9 @@ def run_preserves_base_subsets(cfg, rng):
                 witness = witness or f"trial {t}: {exc}"
         entries.append(
             _entry(
-                "preserves-base-subsets",
                 "base-subsets-to-base-subsets",
-                _params(cfg, k, trials=cfg.trials, bases_per_map=4),
-                cfg.trials,
+                _params(cfg, k, trials=trials, bases_per_map=4),
+                trials,
                 ok,
                 witness,
             )
@@ -615,19 +554,17 @@ def run_preserves_base_subsets(cfg, rng):
     "transport",
     "a base-subset-preserving map transports maximal-inexact types, complements, "
     "exactness, and incidence with spans of k+2 base positions",
-    randomized=True,
     grid=BASE_GRID,
-    default_trials=10,
+    trials=10,
 )
-def run_transport(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_transport(space, cfg, trials, rng):
     entries = []
     for k in _layers(cfg):
         fam_ok = 0
         span_ok = 0
         exact_ok = 0
         witness = None
-        for t in range(cfg.trials):
+        for t in range(trials):
             f = induce(random_collineation(space, rng.getrandbits(64)), k)
             base = random_base(space, rng.getrandbits(64))
             bs = BaseSubset(base, k)
@@ -649,28 +586,26 @@ def run_transport(cfg, rng):
                 exact_ok += 1
             except (MapCheckError, RecognitionError) as exc:
                 witness = witness or f"trial {t}: {exc}"
-        params = _params(cfg, k, trials=cfg.trials)
-        entries.append(_entry("transport", "family-transport", params, cfg.trials, fam_ok, witness))
+        params = _params(cfg, k, trials=trials)
+        entries.append(_entry("family-transport", params, trials, fam_ok, witness))
         if k < cfg.n - 1:
-            entries.append(_entry("transport", "span-transport", params, cfg.trials, span_ok, witness))
-        entries.append(_entry("transport", "exactness-transport", params, cfg.trials, exact_ok, witness))
+            entries.append(_entry("span-transport", params, trials, span_ok, witness))
+        entries.append(_entry("exactness-transport", params, trials, exact_ok, witness))
     return entries
 
 
 @_suite(
     "round-trip",
     "reconstruct(induce(h, k)) returns h exactly and the rebuilt map induces back to the input",
-    randomized=True,
     grid=BASE_GRID,
-    default_trials=100,
+    trials=100,
 )
-def run_round_trip(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_round_trip(space, cfg, trials, rng):
     entries = []
     for k in _layers(cfg):
         ok = 0
         witness = None
-        for t in range(cfg.trials):
+        for t in range(trials):
             h = random_collineation(space, rng.getrandbits(64))
             f = induce(h, k)
             try:
@@ -684,10 +619,9 @@ def run_round_trip(cfg, rng):
                 witness = witness or f"trial {t}: recovered table differs"
         entries.append(
             _entry(
-                "round-trip",
                 "reconstruct-inverts-induce",
-                _params(cfg, k, trials=cfg.trials),
-                cfg.trials,
+                _params(cfg, k, trials=trials),
+                trials,
                 ok,
                 witness,
             )
@@ -695,7 +629,7 @@ def run_round_trip(cfg, rng):
     return entries
 
 
-def _corrupting_swap(f, bs_indices, outside, rng, tries=200):
+def _corrupting_swap(f, bs_indices, outside, rng):
     """A seeded table swap that trips all three rejection checks.
 
     Swapping the images of one base-subset member and one outsider
@@ -703,7 +637,7 @@ def _corrupting_swap(f, bs_indices, outside, rng, tries=200):
     land on another valid image are skipped.
     """
     nverts = len(f.source)
-    for _ in range(tries):
+    for _ in range(200):
         a = rng.choice(bs_indices)
         b = rng.choice(outside)
         table = list(f.table)
@@ -737,12 +671,10 @@ def _corrupting_swap(f, bs_indices, outside, rng, tries=200):
     "negative-controls",
     "corrupted layer maps are rejected: base-subset preservation, adjacency "
     "transport, and reconstruction all fail with explicit witnesses",
-    randomized=True,
     grid=BASE_GRID,
-    default_trials=5,
+    trials=5,
 )
-def run_negative_controls(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_negative_controls(space, cfg, trials, rng):
     entries = []
     for k in _layers(cfg):
         g = grassmannian(space, k)
@@ -750,7 +682,7 @@ def run_negative_controls(cfg, rng):
         outside = sorted(set(range(len(g))) - set(inside))
         detected = 0
         sample = None
-        for t in range(cfg.trials):
+        for t in range(trials):
             f = induce(random_collineation(space, rng.getrandbits(64)), k)
             found = _corrupting_swap(f, inside, outside, rng)
             if found is None:
@@ -766,10 +698,9 @@ def run_negative_controls(cfg, rng):
                 }
         entries.append(
             _entry(
-                "negative-controls",
                 "corruptions-rejected-three-ways",
-                _params(cfg, k, trials=cfg.trials, example=sample),
-                cfg.trials,
+                _params(cfg, k, trials=trials, example=sample),
+                trials,
                 detected,
             )
         )
@@ -782,8 +713,7 @@ def run_negative_controls(cfg, rng):
     "for 0 < k < n-1, and the stars at k = n-1",
     grid=CLIQUE_GRID,
 )
-def run_cliques(cfg, rng):
-    space = SymplecticSpace(cfg.n, cfg.p)
+def run_cliques(space, cfg, trials, rng):
     entries = []
     for k in _layers(cfg):
         cliques = set(maximal_adjacency_cliques(space, k))
@@ -792,13 +722,10 @@ def run_cliques(cfg, rng):
             expected = stars
         else:
             expected = stars | set(top_index_sets(space, k))
-        entries.append(
-            _entry("cliques", "clique-count", _params(cfg, k), len(expected), len(cliques))
-        )
+        entries.append(_entry("clique-count", _params(cfg, k), len(expected), len(cliques)))
         diff = cliques ^ expected
         entries.append(
             _entry(
-                "cliques",
                 "cliques-identified",
                 _params(cfg, k),
                 0,
@@ -857,7 +784,7 @@ def cmd_enumerate(cfg):
 
 def cmd_verify(cfg):
     try:
-        SymplecticSpace.standard(cfg.n, cfg.p)
+        space = SymplecticSpace.standard(cfg.n, cfg.p)
     except FeasibilityError as exc:
         return _usage(str(exc))
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
@@ -865,20 +792,17 @@ def cmd_verify(cfg):
         return _usage(f"k must lie in 0..{cfg.n - 1}")
     if cfg.trials is not None and cfg.trials < 1:
         return _usage(f"--trials must be at least 1, got {cfg.trials}")
-    if cfg.seed is None and any(SUITES[n].randomized for n in names):
+    if cfg.seed is None and any(SUITES[n].trials is not None for n in names):
         return _usage("randomized suites need --seed for reproducibility")
     entries = []
     for name in names:
         suite = SUITES[name]
         if suite.grid is not None and (cfg.n, cfg.p) not in suite.grid:
-            entries.append(
-                _skip(name, "feasibility", _params(cfg), f"suite runs only for (n, p) in {suite.grid}")
-            )
-            continue
-        run_cfg = argparse.Namespace(**vars(cfg))
-        run_cfg.trials = cfg.trials if cfg.trials is not None else suite.default_trials
-        rng = random.Random(f"{cfg.seed}:{name}")
-        entries.extend(suite.runner(run_cfg, rng))
+            found = [_skip("feasibility", _params(cfg), f"suite runs only for (n, p) in {suite.grid}")]
+        else:
+            trials = cfg.trials if cfg.trials is not None else suite.trials
+            found = suite.runner(space, cfg, trials, random.Random(f"{cfg.seed}:{name}"))
+        entries.extend({"suite": name, "anchor": suite.anchor, **e} for e in found)
     overall = all(e.get("pass", True) for e in entries)
     report = {
         "command": "verify",
@@ -968,7 +892,7 @@ def _epilog():
         "verification suites:",
     ]
     for name, suite in SUITES.items():
-        tag = " (seeded)" if suite.randomized else ""
+        tag = " (seeded)" if suite.trials is not None else ""
         lines.append(f"  {name}{tag}")
         lines.append(f"      {suite.anchor}")
     return "\n".join(lines)

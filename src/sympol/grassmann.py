@@ -197,20 +197,13 @@ def _cache_path(cache_dir, space, k):
 
 
 def _is_canonical(rows, width, p):
-    """Whether rows are already in reduced row echelon form over int
-    entries in range(p), read off the entries without row reduction.
-    A bool, float or string entry fails, as in serialize._is_int."""
-    pivots = []
+    """Whether rows are int entries in range(p) in reduced row echelon
+    form: canonical rows, equal to their own row reduction.  A bool,
+    float or string entry fails, as in serialize._is_int."""
     for row in rows:
         if len(row) != width or not all(type(x) is int and 0 <= x < p for x in row):
             return False
-        c = next((i for i, x in enumerate(row) if x), None)
-        if c is None or row[c] != 1 or (pivots and c <= pivots[-1]):
-            return False
-        pivots.append(c)
-    return all(
-        not row[c] for i, row in enumerate(rows) for j, c in enumerate(pivots) if i != j
-    )
+    return _kernels.rref(rows, width, p) == rows
 
 
 def _valid_layer(space, k, members):

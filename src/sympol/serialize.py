@@ -117,6 +117,8 @@ def decode_point_map(obj, where="point map"):
         for vec in (a, b):
             if not (isinstance(vec, list) and all(_is_int(x) for x in vec)):
                 raise SchemaError(f"{where}: pairs must hold lists of integer coordinates")
+        if tuple(a) in table:
+            raise SchemaError(f"{where}: duplicate pair for source point {a}")
         table[tuple(a)] = tuple(b)
     return PointMap(source, target, table)
 

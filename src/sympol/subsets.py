@@ -203,18 +203,18 @@ def inexactness_witness(bs: BaseSubset, collection):
     return None
 
 
-def certify_inexact(bs: BaseSubset, collection, c=1):
+def certify_inexact(bs: BaseSubset, collection):
     """Build the second base promised by an inexactness witness.
 
-    Returns (i, j, base) where the base differs from the home one at
-    positions i and partner-of-j, yet its subset covers the collection;
-    None when no witness is found.
+    Returns (i, j, base) where the base is the home one with p_i moved
+    to p_i + p_j and the partner of j moved to compensate, yet its
+    subset covers the collection; None when no witness is found.
     """
     witness = inexactness_witness(bs, collection)
     if witness is None:
         return None
     i, j = witness
-    other = perturb_pair(bs.base, i, j, c)
+    other = perturb_pair(bs.base, i, j, 1)
     cover = BaseSubset(other, bs.k)
     covered = {cover.subspace(t).rows for t in cover.index_sets}
     for index_set in collection:
@@ -433,11 +433,12 @@ def subset_universe(space: SymplecticSpace, k):
     return tuple(masks)
 
 
-def covering_bases(bs: BaseSubset, collection, limit=2):
-    """Bases whose layer subset covers the collection, up to a limit.
+def covering_bases(bs: BaseSubset, collection):
+    """Up to two bases, the first in enumeration order, whose layer
+    subset covers the collection.
 
     The home base always qualifies, so a second hit certifies that the
-    collection is inexact.
+    collection is inexact and the scan stops there.
     """
     space = bs.base.space
     mask = member_mask(bs, collection)
@@ -445,14 +446,14 @@ def covering_bases(bs: BaseSubset, collection, limit=2):
     for base, cover in zip(enumerate_all_bases(space), subset_universe(space, bs.k)):
         if mask | cover == cover:
             out.append(base)
-            if len(out) == limit:
+            if len(out) == 2:
                 break
     return tuple(out)
 
 
 def is_exact(bs: BaseSubset, collection) -> bool:
     """Exactness decided by exhaustion over every base subset."""
-    return len(covering_bases(bs, collection, limit=2)) == 1
+    return len(covering_bases(bs, collection)) == 1
 
 
 def maximal_inexact_oracle(bs: BaseSubset):

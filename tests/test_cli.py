@@ -171,6 +171,24 @@ def test_verify_common_base_skips_outside_enum_grid(run, tmp_path, capsys):
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("name", sorted(cli.SUITES))
+def test_trial_count_decides_whether_a_suite_is_seeded(run, tmp_path, capsys, name):
+    # a suite without a trial count must not read the seed; every other
+    # suite must refuse to run without one
+    out = tmp_path / "r.json"
+    args = ("verify", "--n", 2, "--p", 2, "--suite", name, "--out", out)
+    if cli.SUITES[name].trials is not None:
+        assert run(*args) == 2
+        assert capsys.readouterr().err == "error: randomized suites need --seed for reproducibility\n"
+        assert not out.exists()
+        return
+    reports = []
+    for seed in (("--seed", "a"), ("--seed", "b"), ()):
+        assert run(*args, *seed) in (0, 2)
+        reports.append(json.loads(read_bytes(out))["entries"])
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_verify_requires_seed(run, tmp_path):
     assert run("verify", "--n", 2, "--p", 2, "--suite", "sizes", "--out", tmp_path / "r.json") == 2
 
@@ -196,10 +214,9 @@ def test_verify_infeasible_grid_skips(run, tmp_path):
 
 
 def test_verify_reports_failures(run, tmp_path, monkeypatch):
-    def failing(cfg, rng):
+    def failing(space, cfg, trials, rng):
         return [
             {
-                "suite": "stub",
                 "check": "always-false",
                 "params": {},
                 "expected": 0,
@@ -209,12 +226,15 @@ def test_verify_reports_failures(run, tmp_path, monkeypatch):
             }
         ]
 
-    stub = cli.Suite("stub", "forced failure", failing, False, None, 1)
+    stub = cli.Suite("forced failure", failing, None, None)
     monkeypatch.setitem(cli.SUITES, "sizes", stub)
     out = tmp_path / "r.json"
     assert run("verify", "--n", 2, "--p", 2, "--suite", "sizes", "--seed", "s", "--out", out) == 1
     report = json.loads(read_bytes(out))
     assert report["pass"] is False
+    # the suite name and anchor are stamped from the registry
+    assert report["entries"][0]["suite"] == "sizes"
+    assert report["entries"][0]["anchor"] == "forced failure"
 
 
 def test_random_collineation_deterministic(run, tmp_path):
@@ -289,6 +309,20 @@ def test_induce_rejects_non_integer_coordinates(run, tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "integer coordinates" in captured.err
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_induce_rejects_repeated_source_point(run, tmp_path, capsys):
+    h_path = tmp_path / "h.json"
+    assert run("random-collineation", "--n", 2, "--p", 2, "--seed", "s7", "--out", h_path) == 0
+    payload = json.loads(read_bytes(h_path))
+    pairs = payload["pairs"]
+    payload["pairs"] = [[pairs[0][0], pairs[1][1]]] + pairs
+    atomic_write_json(h_path, payload)
+    capsys.readouterr()
+    assert run("induce", "--map", h_path, "--k", 1, "--out", tmp_path / "f.json") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: point map: duplicate pair for source point {pairs[0][0]}\n"
     assert not (tmp_path / "f.json").exists()
 
 

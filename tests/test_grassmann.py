@@ -400,6 +400,39 @@ def _entry_as(value):
     return corrupt
 
 
+# the next six break the first member's canonical rows, or the layer's
+# strictly increasing order, and nothing else the validator reads first
+
+
+def _uncleared_pivot(sp, obj):
+    r0, r1 = obj["elements"][0]
+    obj["elements"][0][0] = [(a + b) % sp.p for a, b in zip(r0, r1)]
+
+
+def _scaled_row(sp, obj):
+    rows = obj["elements"][0]
+    rows[1] = [2 * x % sp.p for x in rows[1]]
+
+
+def _out_of_range_entry(sp, obj):
+    row = obj["elements"][0][0]
+    row[row.index(0)] = sp.p
+
+
+def _swapped_rows(sp, obj):
+    rows = obj["elements"][0]
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+def _unsorted_layer(sp, obj):
+    elements = obj["elements"]
+    elements[0], elements[1] = elements[1], elements[0]
+
+
+def _duplicate_member(sp, obj):
+    obj["elements"][1] = obj["elements"][0]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -410,6 +443,12 @@ def _entry_as(value):
         _entry_as("1"),
         _entry_as(1.0),
         _entry_as(True),
+        _uncleared_pivot,
+        _scaled_row,
+        _out_of_range_entry,
+        _swapped_rows,
+        _unsorted_layer,
+        _duplicate_member,
     ],
     ids=[
         "truncated",
@@ -419,6 +458,12 @@ def _entry_as(value):
         "string-entry",
         "float-entry",
         "bool-entry",
+        "uncleared-pivot",
+        "scaled-row",
+        "out-of-range-entry",
+        "swapped-rows",
+        "unsorted-layer",
+        "duplicate-member",
     ],
 )
 def test_corrupt_disk_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):

@@ -60,6 +60,12 @@ def test_point_map_round_trip(small_space):
     # pairs are sorted, so encoding is order-independent
     assert obj["pairs"] == sorted(obj["pairs"])
     assert decode_point_map(obj) == h
+    # a source point listed twice is refused, even with the same image
+    pairs = obj["pairs"]
+    for extra in ([pairs[0][0], pairs[1][1]], pairs[0]):
+        twice = dict(obj, pairs=[extra] + pairs)
+        with pytest.raises(SchemaError, match=r"duplicate pair for source point \["):
+            decode_point_map(twice)
     # a coordinate is an int, never a bool, a float or a string, and a
     # point is a list of them
     x, y = obj["pairs"][0]
