@@ -2,19 +2,21 @@
 
 G_k collects the totally isotropic subspaces of projective dimension k,
 sorted by the global row-matrix ordering; downstream code refers to its
-elements by index.  Enumeration works level by level: each isotropic
-subspace s of rank j is extended by the points of a complement of s in
-its perp, one representative per point of perp(s)/s, and duplicates
-are removed by canonical form.  Each one-point extension s + q is
-written down from s's canonical rows, since q vanishes at s's pivot
-columns, so the row reduction left is per s (its perp and the span of
-the complement), not per candidate.  Each layer is cached on disk keyed
-by (n, p, k): a cold build of G_0..G_2 at (3, 3) took 0.48-0.62 s in
-process on a 2-core host, against 0.07-0.09 s for a load of the same
-files.  The one setting for the cache location is the SYMPOL_CACHE_DIR
-environment variable, read by default_cache_dir() and falling back to
-~/.cache/sympol.  A cached layer whose file format, header or structure
-fails the check on load is rebuilt and rewritten.
+elements by index.  Enumeration works level by level, extending each
+level once per space: each isotropic subspace s of rank j is extended
+by the points of a complement of s in its perp, one representative per
+point of perp(s)/s, and duplicates are removed by canonical form.
+perp(s) is read off the space's orthogonality masks, and each one-point
+extension s + q is written down from s's canonical rows, since q
+vanishes at s's pivot columns, so the row reduction left is one span of
+the complement per s, not per candidate.  Each layer is cached on disk
+keyed by (n, p, k), as one compact JSON line: a cold build of G_0..G_2
+at (3, 3), files written, took 0.30-0.37 s in process on a 2-core host,
+against 0.08-0.09 s for a load of the same files.  The one setting for
+the cache location is the SYMPOL_CACHE_DIR environment variable, read
+by default_cache_dir() and falling back to ~/.cache/sympol.  A cached
+layer whose file format, header or structure fails the check on load
+is rebuilt and rewritten.
 
 Two pdim-k subspaces are adjacent when their intersection has pdim
 k - 1 (for k = 0 this means being distinct), and ortho-adjacent when,
@@ -46,6 +48,7 @@ masks.
 
 from __future__ import annotations
 
+import json
 import os
 from bisect import bisect
 from functools import lru_cache
@@ -53,7 +56,7 @@ from functools import lru_cache
 from sympol import _kernels
 from sympol.errors import DimensionError, FeasibilityError, SchemaError
 from sympol.linalg import Subspace
-from sympol.serialize import atomic_write_json, load_json
+from sympol.serialize import atomic_write_text, load_json
 from sympol.space import CLIQUE_GRID, SymplecticSpace, bits
 
 
@@ -110,34 +113,35 @@ def ortho_adjacent(space: SymplecticSpace, s: Subspace, u: Subspace) -> bool:
     return adjacent(s, u) and not any(space.omega(a, b) for a in s.rows for b in u.rows)
 
 
+@lru_cache(maxsize=None)
 def _levelwise(space, k):
-    """G_k built from scratch, one rank at a time.
+    """G_k built by extending G_(k-1), itself taken from this memo.
 
-    Each totally isotropic s is extended by the points of a complement
-    of s in perp(s): one representative per point of perp(s)/s, so
-    every candidate is new to s and isotropic with it.  The empty
-    subspace, whose perp is everything, takes every point.  The
-    complement is the part of perp(s) that vanishes at s's pivot
-    columns, spanned by the residues of perp(s)'s rows against s, and
-    its points come in the global order.  Each candidate thus vanishes
-    at s's pivot columns, so _one_point_extensions writes down the
-    canonical rows of s + q with no row reduction; all_subspaces keeps
-    rref as the oracle.
+    Memoized per space, so each level is extended once however many
+    layers are built, and the tuples kept are the ones the Grassmannian
+    objects hold.  Each totally isotropic s of G_(k-1) is extended by
+    the points of a complement of s in perp(s): one representative per
+    point of perp(s)/s, so every candidate is new to s and isotropic
+    with it.  G_0 extends the empty subspace, whose perp is everything,
+    by every point.  The complement is the part of perp(s) that
+    vanishes at s's pivot columns, spanned by the residues of perp(s)'s
+    rows against s, and its points come in the global order.  Each
+    candidate thus vanishes at s's pivot columns, so
+    _one_point_extensions writes down the canonical rows of s + q with
+    no row reduction; all_subspaces keeps rref as the oracle.
     """
     p, d = space.p, space.dim
-    level = [Subspace.empty(p, d)]
-    for _ in range(k + 1):
-        nxt = {}
-        for s in level:
-            if s.rows:
-                rest = [_kernels.residue(v, s.rows, p) for v in space.perp(s).rows]
-                candidates = Subspace.span(p, d, rest).points()
-            else:
-                candidates = space.all_points()
-            for rows in _one_point_extensions(s.rows, candidates, p):
-                nxt.setdefault(rows, Subspace(p, d, rows))
-        level = list(nxt.values())
-    return tuple(sorted(level, key=lambda s: s.rows))
+    lower = _levelwise(space, k - 1) if k else (Subspace.empty(p, d),)
+    nxt = {}
+    for s in lower:
+        if s.rows:
+            rest = [_kernels.residue(v, s.rows, p) for v in space.perp(s).rows]
+            candidates = Subspace.span(p, d, rest).points()
+        else:
+            candidates = space.all_points()
+        for rows in _one_point_extensions(s.rows, candidates, p):
+            nxt.setdefault(rows, Subspace(p, d, rows))
+    return tuple(sorted(nxt.values(), key=lambda s: s.rows))
 
 
 def _one_point_extensions(rows, candidates, p):
@@ -252,15 +256,15 @@ def _grassmannian_memo(space, k, cache_dir):
     if cached is not None:
         return Grassmannian(space, k, cached)
     g = Grassmannian(space, k, _levelwise(space, k))
-    atomic_write_json(
-        _cache_path(cache_dir, space, k),
-        {
-            "format": CACHE_FORMAT,
-            "space": space.header(),
-            "k": k,
-            "elements": [[list(r) for r in s.rows] for s in g.elements],
-        },
-    )
+    obj = {
+        "format": CACHE_FORMAT,
+        "space": space.header(),
+        "k": k,
+        "elements": [[list(r) for r in s.rows] for s in g.elements],
+    }
+    # compact, so the C encoder writes it; indented files still load
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    atomic_write_text(_cache_path(cache_dir, space, k), text)
     return g
 
 

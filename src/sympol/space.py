@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from sympol import _kernels
 from sympol.errors import DimensionError, FeasibilityError
 from sympol.linalg import Subspace
 
@@ -54,7 +53,7 @@ def image_mask(mask, table):
 class SymplecticSpace:
     """Rank n symplectic space over GF(p) with the standard form."""
 
-    __slots__ = ("n", "p", "dim", "_points", "_point_index", "_ortho_masks")
+    __slots__ = ("n", "p", "dim", "_points", "_point_index", "_ortho_masks", "_zero_masks")
 
     def __init__(self, n, p):
         if n < 2:
@@ -67,6 +66,7 @@ class SymplecticSpace:
         self._points = None
         self._point_index = None
         self._ortho_masks = None
+        self._zero_masks = None
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -90,11 +90,40 @@ class SymplecticSpace:
         return tuple(x[n + i] % p for i in range(n)) + tuple((-x[i]) % p for i in range(n))
 
     def perp(self, s: Subspace) -> Subspace:
-        """All vectors orthogonal to a subspace; pdim is 2n - 2 - pdim(s)."""
+        """All vectors orthogonal to a subspace; pdim is 2n - 2 - pdim(s).
+
+        Read off bitmasks over all_points(), with no row reduction.  The
+        rows of s must be canonical, as Subspace requires, so each is a
+        normalized point with an index, and the points of perp(s) are the
+        AND of their ortho_masks rows.  The pivot columns of a subspace
+        are exactly the leading positions of its points, and its
+        canonical row with pivot c is its one point with lead c that is
+        zero at every later pivot: the coefficient of each row in a
+        vector is the vector's entry at that row's pivot.  The points
+        with lead c are a contiguous run of all_points(), and the points
+        zero at column j are entry j of the zero masks ortho_masks keeps.
+        """
         self._check(s)
-        funcs = tuple(self.form_row(r) for r in s.rows)
-        rows = _kernels.nullspace(funcs, self.dim, self.p)
-        return Subspace(self.p, self.dim, rows)
+        masks, index = self.ortho_masks(), self.point_index()
+        mask = (1 << len(masks)) - 1
+        for r in s.rows:
+            mask &= masks[index[r]]
+        p, d = self.p, self.dim
+        # the points with lead c: p^(d-1-c) of them, after the
+        # (p^(d-1-c) - 1)/(p - 1) points with a later lead
+        runs = []
+        for c in range(d):
+            size = p ** (d - 1 - c)
+            run = mask & (((1 << size) - 1) << ((size - 1) // (p - 1)))
+            if run:
+                runs.append((c, run))
+        pts, zeros = self.all_points(), self._zero_masks
+        rows = []
+        later = -1
+        for c, run in reversed(runs):
+            rows.append(pts[single_bit(run & later)])
+            later &= zeros[c]
+        return Subspace(p, d, tuple(reversed(rows)))
 
     def is_totally_isotropic(self, s: Subspace) -> bool:
         self._check(s)
@@ -123,7 +152,8 @@ class SymplecticSpace:
         coord[j][v] is the mask of the points whose coordinate j is v.
         Folding a point's form_row through them one coordinate at a time
         keeps acc[r], the mask of the points y with partial form value r,
-        and the row is acc[0] at the end.
+        and the row is acc[0] at the end.  The coord[j][0] classes are
+        kept as zero_masks, which perp reads.
         """
         if self._ortho_masks is None:
             p, pts = self.p, self.all_points()
@@ -145,6 +175,7 @@ class SymplecticSpace:
                                 nxt[(r + shift) % p] |= m & cls
                         acc = nxt
                 masks.append(acc[0])
+            self._zero_masks = tuple(classes[0] for classes in coord)
             self._ortho_masks = tuple(masks)
         return self._ortho_masks
 

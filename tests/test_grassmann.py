@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from sympol import _kernels, grassmann
+from sympol import _kernels, grassmann, serialize
 from sympol.errors import DimensionError
 from sympol.grassmann import (
     adjacency_masks,
@@ -65,7 +65,16 @@ LAYER_DIGESTS_3_3 = (
 )
 
 
-def test_layer_digests_are_pinned_at_3_3(tmp_path, monkeypatch):
+@pytest.fixture
+def cold_levels():
+    """An empty _levelwise memo, emptied again afterwards, so that every
+    level the test asks for is built and none it built is kept."""
+    grassmann._levelwise.cache_clear()
+    yield
+    grassmann._levelwise.cache_clear()
+
+
+def test_layer_digests_are_pinned_at_3_3(tmp_path, monkeypatch, cold_levels):
     # a fresh cache directory makes every layer a cold build
     monkeypatch.setenv("SYMPOL_CACHE_DIR", str(tmp_path))
     sp = SymplecticSpace.standard(3, 3)
@@ -74,10 +83,29 @@ def test_layer_digests_are_pinned_at_3_3(tmp_path, monkeypatch):
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
+# _levelwise extends each level once: a cold build of every layer takes
+# one perp per member of G_0..G_(n-2), and none for the empty subspace.
+@pytest.mark.parametrize("n,p", BASE_GRID)
+def test_cold_build_extends_each_level_once(n, p, tmp_path, monkeypatch, cold_levels):
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(tmp_path))
+    sp = SymplecticSpace.standard(n, p)
+    inner = SymplecticSpace.perp
+    calls = []
+
+    def counted(self, s):
+        calls.append(s)
+        return inner(self, s)
+
+    monkeypatch.setattr(SymplecticSpace, "perp", counted)
+    for k in layers(sp):
+        grassmannian(sp, k)
+    assert len(calls) == sum(grassmannian_size(n, p, j) for j in range(n - 1))
+
+
 # _levelwise forms s + q by clearing q's pivot column in s's rows; every
 # pair it visits while building the top layer is checked against rref.
 @pytest.mark.parametrize("n,p", CHECK_GRID)
-def test_one_point_extensions_match_row_reduction(n, p, monkeypatch):
+def test_one_point_extensions_match_row_reduction(n, p, monkeypatch, cold_levels):
     sp = SymplecticSpace.standard(n, p)
     inner = grassmann._one_point_extensions
     visited = []
@@ -369,6 +397,36 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     assert reloaded is not None
     assert [s.rows for s in reloaded] == [s.rows for s in g]
     assert path.read_bytes() == first
+
+
+# Layer files are one compact JSON line; files in the indented layout that
+# serialize.dumps wrote before hold the same format-1 object and still load.
+def test_indented_layer_file_loads_and_compact_file_is_one_line(tmp_path, monkeypatch):
+    sp = SymplecticSpace.standard(2, 3)
+    name = "grassmannian-n2-p3-k1.json"
+    old_dir, new_dir = tmp_path / "old", tmp_path / "new"
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(new_dir))
+    fresh = grassmannian(sp, 1)
+    obj = {
+        "format": 1,
+        "space": sp.header(),
+        "k": 1,
+        "elements": [[list(r) for r in s.rows] for s in fresh],
+    }
+    text = (new_dir / name).read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == json.loads(serialize.dumps(obj))
+    old_dir.mkdir()
+    path = old_dir / name
+    path.write_text(serialize.dumps(obj))
+    before, inode = path.read_bytes(), path.stat().st_ino
+    assert before.count(b"\n") > 1
+    assert grassmann._load_cached(sp, 1, str(old_dir)) is not None
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(old_dir))
+    loaded = grassmannian(sp, 1)
+    assert [s.rows for s in loaded] == [s.rows for s in fresh]
+    assert path.read_bytes() == before
+    assert path.stat().st_ino == inode
 
 
 def _truncate(sp, obj):

@@ -2,7 +2,9 @@
 
 import pytest
 
+from sympol import _kernels
 from sympol.errors import DimensionError, FeasibilityError
+from sympol.grassmann import grassmannian
 from sympol.linalg import Subspace
 from sympol.space import ENUM_GRID, SymplecticSpace, single_bit
 
@@ -68,6 +70,26 @@ def test_perp_dimensions_and_involution(small_space):
     for x in s.rows:
         for y in perp.rows:
             assert sp.omega(x, y) == 0
+
+
+def _perp_by_row_reduction(sp, s):
+    """perp(s) as the nullspace of the form rows of s's rows."""
+    funcs = tuple(sp.form_row(r) for r in s.rows)
+    return Subspace(sp.p, sp.dim, _kernels.nullspace(funcs, sp.dim, sp.p))
+
+
+# perp reads its rows off ortho_masks with no row reduction; the nullspace
+# of the form rows checks it on every isotropic subspace and on each perp.
+@pytest.mark.parametrize("n,p", ENUM_GRID, ids=[f"n{n}p{p}" for n, p in ENUM_GRID])
+def test_perp_matches_row_reduction(n, p):
+    sp = SymplecticSpace.standard(n, p)
+    subspaces = [Subspace.empty(p, sp.dim), Subspace.full(p, sp.dim)]
+    for k in range(n):
+        subspaces.extend(grassmannian(sp, k))
+    for s in subspaces:
+        perp = sp.perp(s)
+        assert perp == _perp_by_row_reduction(sp, s)
+        assert sp.perp(perp) == _perp_by_row_reduction(sp, perp)
 
 
 def test_total_isotropy(small_space):
