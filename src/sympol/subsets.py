@@ -6,13 +6,17 @@ bookkeeping, decides which subcollections pin down the spanning base,
 and constructs the maximal collections that do not, together with their
 complements and the counting invariants attached to both.
 
-The exactness oracle scans subset_universe, every base subset of a
-layer as a bitmask.  Each mask is a threshold count over through_masks
-rows: a totally isotropic member holds at most one point of each
-partner pair, since partners are non-orthogonal, and at most k + 1 of
-the independent base points, exactly k + 1 only as their span.  So a
-member lies in the base subset exactly when it meets k + 1 of the n
-partner-pair unions, and no index set is visited per base.
+The exactness oracle is exhaustive over subset_universe, every base
+subset of a layer as a bitmask.  Each mask is a threshold count over
+through_masks rows: a totally isotropic member holds at most one point
+of each partner pair, since partners are non-orthogonal, and at most
+k + 1 of the independent base points, exactly k + 1 only as their span.
+So a member lies in the base subset exactly when it meets k + 1 of the
+n partner-pair unions, and no index set is visited per base.  The
+oracle reads the universe by member, through universe_columns, its
+transpose built on first use: covering_bases is one AND per member of
+the collection, and maximal_inexact_oracle splits the set of every
+base once per home member, so neither loops over the bases.
 
 BaseSubset.indices is the one route from a base's index sets to their
 G_k indices, built once per BaseSubset: the span of k + 1 base points
@@ -24,12 +28,12 @@ certify_inexact and the meet_at_subspace oracle use it.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from sympol.bases import SymplecticBase, enumerate_all_bases, perturb_pair
 from sympol.errors import DegenerateParameterError, DimensionError
-from sympol.grassmann import through_masks
+from sympol.grassmann import grassmannian_size, through_masks
 from sympol.linalg import (
     Subspace,
     extend_basis,
@@ -433,22 +437,57 @@ def subset_universe(space: SymplecticSpace, k):
     return tuple(masks)
 
 
+@lru_cache(maxsize=None)
+def universe_columns(space: SymplecticSpace, k):
+    """subset_universe transposed: entry m masks the bases holding member m.
+
+    Bit b of entry m is set exactly when bit m of subset_universe(space,
+    k)[b] is, so b runs over enumerate_all_bases positions.  Built on
+    first use, from the universe rather than from points, by bit planes.
+    Each mask is laid out as width little-endian bytes.  Lane i of byte
+    j reads byte j of the bases at positions i, i + 8, i + 16, ... as
+    one int, so byte g of lane i belongs to base 8g + i.  The entry of
+    member 8j + t moves bit t of each such byte to bit 8g + i.
+    """
+    universe = subset_universe(space, k)
+    members = grassmannian_size(space.n, space.p, k)
+    width = (members + 7) // 8
+    groups = (len(universe) + 7) // 8
+    blob = bytearray()
+    for mask in universe:
+        blob += mask.to_bytes(width, "little")
+    blob += bytes(8 * groups * width - len(blob))
+    ones = int.from_bytes(b"\1" * groups, "little")
+    columns = []
+    for j in range(width):
+        lanes = [
+            (int.from_bytes(blob[j + i * width :: 8 * width], "little") << i, ones << i)
+            for i in range(8)
+        ]
+        for t in range(min(8, members - 8 * j)):
+            column = 0
+            for lane, keep in lanes:
+                column |= (lane >> t) & keep
+            columns.append(column)
+    return tuple(columns)
+
+
 def covering_bases(bs: BaseSubset, collection):
     """Up to two bases, the first in enumeration order, whose layer
     subset covers the collection.
 
-    The home base always qualifies, so a second hit certifies that the
-    collection is inexact and the scan stops there.
+    Still exhaustive: the AND of the collection's universe_columns
+    entries masks every base whose subset covers it, and its two lowest
+    bits name the first two.  The home base always qualifies, so a
+    second one certifies that the collection is inexact.
     """
     space = bs.base.space
-    mask = member_mask(bs, collection)
-    out = []
-    for base, cover in zip(enumerate_all_bases(space), subset_universe(space, bs.k)):
-        if mask | cover == cover:
-            out.append(base)
-            if len(out) == 2:
-                break
-    return tuple(out)
+    bases = enumerate_all_bases(space)
+    columns = universe_columns(space, bs.k)
+    hits = (1 << len(bases)) - 1
+    for m in bits(member_mask(bs, collection)):
+        hits &= columns[m]
+    return tuple(bases[b] for b in islice(bits(hits), 2))
 
 
 def is_exact(bs: BaseSubset, collection) -> bool:
@@ -461,12 +500,27 @@ def maximal_inexact_oracle(bs: BaseSubset):
 
     An inexact collection grows to the intersection of the home subset
     with any other covering subset, so the maximal inexact subsets are
-    exactly the maximal proper intersections.
+    exactly the maximal proper intersections.  Still exhaustive: the set
+    of every base is split once by the universe_columns entry of each
+    home member, so each base lands in exactly one part, and the home
+    members a part's bases share are its value of home & cover.
     """
     space = bs.base.space
+    columns = universe_columns(space, bs.k)
     member_of = dict(zip(bs.indices(), bs.index_sets))
+    # (bases, home members their subsets hold), refined one member at a time
+    parts = [((1 << len(subset_universe(space, bs.k))) - 1, 0)]
+    for m in member_of:
+        split = []
+        for bases, shared in parts:
+            inside = bases & columns[m]
+            if inside:
+                split.append((inside, shared | 1 << m))
+            if inside != bases:
+                split.append((bases ^ inside, shared))
+        parts = split
     home = sum(1 << i for i in member_of)
-    seen = {home & cover for cover in subset_universe(space, bs.k)}
+    seen = {shared for _, shared in parts}
     seen.discard(home)
     keep = []
     for mask in sorted(seen, key=lambda m: -m.bit_count()):

@@ -1,5 +1,6 @@
 """Base subsets, their inexact collections and the exactness oracle."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -10,7 +11,7 @@ from sympol.bases import SymplecticBase, enumerate_all_bases, is_symplectic_base
 from sympol.errors import DegenerateParameterError, DimensionError
 from sympol.grassmann import adjacent, grassmannian, through_masks
 from sympol.linalg import Subspace, vec_scale
-from sympol.space import BASE_GRID, SymplecticSpace
+from sympol.space import BASE_GRID, SymplecticSpace, bits
 from sympol.subsets import (
     BaseSubset,
     base_subset_size,
@@ -24,6 +25,7 @@ from sympol.subsets import (
     complement_type1,
     complement_type2,
     complete_to_base,
+    covering_bases,
     disjointness_degrees,
     distinct_complements,
     first_type_size,
@@ -41,6 +43,7 @@ from sympol.subsets import (
     subset_universe,
     type1_members,
     type2_members,
+    universe_columns,
     unpinned_exact_example,
 )
 
@@ -446,6 +449,87 @@ def test_subset_universe_rejects_a_corrupt_through_table(monkeypatch):
             subset_universe(sp, k)
     finally:
         subset_universe.cache_clear()
+
+
+def transpose_by_bits(universe, members):
+    """universe_columns by one OR per set bit (reference)."""
+    columns = [0] * members
+    for b, mask in enumerate(universe):
+        for m in bits(mask):
+            columns[m] |= 1 << b
+    return tuple(columns)
+
+
+@pytest.mark.parametrize("n,p", BASE_GRID)
+def test_universe_columns_transpose_the_universe(n, p):
+    sp = SymplecticSpace.standard(n, p)
+    for k in layers(sp):
+        universe = subset_universe(sp, k)
+        columns = universe_columns(sp, k)
+        assert len(columns) == len(grassmannian(sp, k))
+        assert columns == transpose_by_bits(universe, len(columns))
+
+
+def scan_covering_bases(bs, collection):
+    """covering_bases by a scan over every universe mask (reference)."""
+    space = bs.base.space
+    mask = member_mask(bs, collection)
+    out = []
+    for base, cover in zip(enumerate_all_bases(space), subset_universe(space, bs.k)):
+        if mask | cover == cover:
+            out.append(base)
+            if len(out) == 2:
+                break
+    return tuple(out)
+
+
+def scan_maximal_inexact_oracle(bs):
+    """maximal_inexact_oracle by a scan over every universe mask (reference)."""
+    member_of = dict(zip(bs.indices(), bs.index_sets))
+    home = sum(1 << i for i in member_of)
+    seen = {home & cover for cover in subset_universe(bs.base.space, bs.k)}
+    seen.discard(home)
+    keep = []
+    for mask in sorted(seen, key=lambda m: -m.bit_count()):
+        if not any(mask | kept == kept for kept in keep):
+            keep.append(mask)
+    collections = (frozenset(member_of[b] for b in bits(mask)) for mask in keep)
+    return tuple(sorted(collections, key=lambda c: sorted(map(sorted, c))))
+
+
+@pytest.mark.parametrize("n,p", BASE_GRID)
+def test_oracle_matches_the_universe_scans(n, p):
+    sp = SymplecticSpace.standard(n, p)
+    bases = [SymplecticBase.standard(sp)] + [random_base(sp, f"scan{i}") for i in range(3)]
+    for number, base in enumerate(bases):
+        rng = random.Random(f"scan:{n}:{p}:{number}")
+        for k in layers(sp):
+            bs = BaseSubset(base, k)
+            assert maximal_inexact_oracle(bs) == scan_maximal_inexact_oracle(bs)
+            whole = list(bs.index_sets)
+            collections = [(), whole[:1], whole]
+            collections += [rng.sample(whole, rng.randint(1, len(whole))) for _ in range(6)]
+            for collection in collections:
+                assert covering_bases(bs, collection) == scan_covering_bases(bs, collection)
+
+
+def test_universe_columns_are_built_once_on_first_use():
+    sp = SymplecticSpace.standard(2, 3)
+    bs = BaseSubset(random_base(sp, "lazy"), 1)
+    subset_universe.cache_clear()
+    universe_columns.cache_clear()
+    try:
+        for k in layers(sp):
+            subset_universe(sp, k)
+        assert universe_columns.cache_info().currsize == 0
+        covering_bases(bs, bs.index_sets)
+        maximal_inexact_oracle(bs)
+        assert is_exact(bs, bs.index_sets)
+        info = universe_columns.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    finally:
+        subset_universe.cache_clear()
+        universe_columns.cache_clear()
 
 
 def test_member_mask_normalizes_base_points():
