@@ -2,21 +2,23 @@
 
 G_k collects the totally isotropic subspaces of projective dimension k,
 sorted by the global row-matrix ordering; downstream code refers to its
-elements by index.  Enumeration works level by level, extending each
-level once per space: each isotropic subspace s of rank j is extended
-by the points of a complement of s in its perp, one representative per
-point of perp(s)/s, and duplicates are removed by canonical form.
-perp(s) is read off the space's orthogonality masks, and each one-point
-extension s + q is written down from s's canonical rows, since q
-vanishes at s's pivot columns, so the row reduction left is one span of
-the complement per s, not per candidate.  Each layer is cached on disk
+elements by index.  Enumeration works level by level, building each
+level once per space and each member once: a member u of G_k is formed
+from its canonical prefix s = u.rows[:-1], a member of G_(k-1), and a
+last row q, a point of perp(s) that is zero at s's pivot columns and
+has its pivot in a free column of s (after s's last pivot, and zero in
+every row of s).  A member of G_(k-1) with no free column is the prefix
+of nothing and is skipped; every other s takes one perp, read off the
+space's orthogonality masks, and one span of the complement of s in it.
+The lower layer is sorted and each s's points come in the global
+order, so the new layer comes out sorted.  Each layer is cached on disk
 keyed by (n, p, k), as one compact JSON line: a cold build of G_0..G_2
-at (3, 3), files written, took 0.30-0.37 s in process on a 2-core host,
-against 0.08-0.09 s for a load of the same files.  The one setting for
-the cache location is the SYMPOL_CACHE_DIR environment variable, read
-by default_cache_dir() and falling back to ~/.cache/sympol.  A cached
-layer whose file format, header or structure fails the check on load
-is rebuilt and rewritten.
+at (3, 3), files written, took 0.10-0.16 s in process on a 2-core host,
+against 0.05-0.08 s for a validated load of the same files.  The one
+setting for the cache location is the SYMPOL_CACHE_DIR environment
+variable, read by default_cache_dir() and falling back to
+~/.cache/sympol.  A cached layer whose file format, header or structure
+fails the check on load is rebuilt and rewritten.
 
 Two pdim-k subspaces are adjacent when their intersection has pdim
 k - 1 (for k = 0 this means being distinct), and ortho-adjacent when,
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect
 from functools import lru_cache
 
 from sympol import _kernels
@@ -115,52 +116,40 @@ def ortho_adjacent(space: SymplecticSpace, s: Subspace, u: Subspace) -> bool:
 
 @lru_cache(maxsize=None)
 def _levelwise(space, k):
-    """G_k built by extending G_(k-1), itself taken from this memo.
+    """G_k built from G_(k-1), itself taken from this memo, in sorted order.
 
-    Memoized per space, so each level is extended once however many
-    layers are built, and the tuples kept are the ones the Grassmannian
-    objects hold.  Each totally isotropic s of G_(k-1) is extended by
-    the points of a complement of s in perp(s): one representative per
-    point of perp(s)/s, so every candidate is new to s and isotropic
-    with it.  G_0 extends the empty subspace, whose perp is everything,
-    by every point.  The complement is the part of perp(s) that
-    vanishes at s's pivot columns, spanned by the residues of perp(s)'s
-    rows against s, and its points come in the global order.  Each
-    candidate thus vanishes at s's pivot columns, so
-    _one_point_extensions writes down the canonical rows of s + q with
-    no row reduction; all_subspaces keeps rref as the oracle.
+    Memoized per space, so each level is built once however many layers
+    are built, and the tuples kept are the ones the Grassmannian objects
+    hold.  G_0 is every point.  Each member u of G_k (k > 0) is formed
+    once, from its canonical prefix s = u.rows[:-1]: those rows are
+    canonical and span a totally isotropic subspace, so s is in G_(k-1).
+    The last row q lies in perp(s), vanishes at s's pivot columns, and
+    has its pivot in a free column of s: one after s's last pivot where
+    every row of s is 0.  Conversely, for any such s and q the rows
+    s.rows + (q,) are canonical and totally isotropic, so this is a
+    bijection.  An s with no free column is the prefix of no member and
+    is skipped with no perp.  The points of perp(s) that vanish at s's
+    pivot columns are the points of the complement spanned by the
+    residues of perp(s)'s rows against s, and those with their pivot in
+    a free column are the q.  No sort is needed: members sharing a
+    prefix compare by q, which comes in the global order, and members
+    with different prefixes compare as those prefixes do, which come
+    sorted from G_(k-1).  all_subspaces keeps rref as the oracle.
     """
     p, d = space.p, space.dim
-    lower = _levelwise(space, k - 1) if k else (Subspace.empty(p, d),)
-    nxt = {}
-    for s in lower:
-        if s.rows:
-            rest = [_kernels.residue(v, s.rows, p) for v in space.perp(s).rows]
-            candidates = Subspace.span(p, d, rest).points()
-        else:
-            candidates = space.all_points()
-        for rows in _one_point_extensions(s.rows, candidates, p):
-            nxt.setdefault(rows, Subspace(p, d, rows))
-    return tuple(sorted(nxt.values(), key=lambda s: s.rows))
-
-
-def _one_point_extensions(rows, candidates, p):
-    """Canonical rows of s + q for each candidate point q, in turn.
-
-    rows are s's canonical rows, and each q is a normalized point that
-    vanishes at every pivot column of s.  Clearing column lead(q) of
-    s's rows with q leaves them canonical, and q goes in between them
-    at its pivot position, so no row reduction is needed.
-    """
-    leads = [r.index(1) for r in rows]
-    for q in candidates:
-        lead = q.index(1)
-        out = []
-        for r in rows:
-            f = r[lead]
-            out.append(tuple((a - f * b) % p for a, b in zip(r, q)) if f else r)
-        out.insert(bisect(leads, lead), q)
-        yield tuple(out)
+    if not k:
+        return tuple(Subspace(p, d, (q,)) for q in space.all_points())
+    out = []
+    for s in _levelwise(space, k - 1):
+        last = s.rows[-1].index(1)
+        free = {c for c in range(last + 1, d) if not any(r[c] for r in s.rows)}
+        if not free:
+            continue
+        rest = [_kernels.residue(v, s.rows, p) for v in space.perp(s).rows]
+        for q in Subspace.span(p, d, rest).points():
+            if q.index(1) in free:
+                out.append(Subspace(p, d, s.rows + (q,)))
+    return tuple(out)
 
 
 def all_subspaces(space: SymplecticSpace, k):

@@ -46,7 +46,7 @@ def test_counts_match_closed_form(small_space):
         assert len({s.rows for s in g}) == len(g)
 
 
-# The perp(s)/s build against the full scan of every subspace, filtered
+# The canonical-prefix build against the full scan of every subspace, filtered
 # by the form afterwards: the two share no code past the kernels.
 @pytest.mark.parametrize("n,p", CHECK_GRID)
 def test_layers_match_brute_force(n, p):
@@ -83,9 +83,16 @@ def test_layer_digests_are_pinned_at_3_3(tmp_path, monkeypatch, cold_levels):
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
-# _levelwise extends each level once: a cold build of every layer takes
-# one perp per member of G_0..G_(n-2), and none for the empty subspace.
-@pytest.mark.parametrize("n,p", BASE_GRID)
+def has_free_column(s):
+    """Whether some column after s's last pivot is 0 in every row of s."""
+    last = max(r.index(1) for r in s.rows)
+    return any(all(r[c] == 0 for r in s.rows) for c in range(last + 1, s.ambient))
+
+
+# _levelwise builds each level once, from prefixes: a cold build of every
+# layer takes one perp per member of G_0..G_(n-2) with a free column, and
+# none for any other member or for the empty subspace.
+@pytest.mark.parametrize("n,p", ENUM_GRID)
 def test_cold_build_extends_each_level_once(n, p, tmp_path, monkeypatch, cold_levels):
     monkeypatch.setenv("SYMPOL_CACHE_DIR", str(tmp_path))
     sp = SymplecticSpace.standard(n, p)
@@ -93,34 +100,45 @@ def test_cold_build_extends_each_level_once(n, p, tmp_path, monkeypatch, cold_le
     calls = []
 
     def counted(self, s):
-        calls.append(s)
+        calls.append(s.rows)
         return inner(self, s)
 
     monkeypatch.setattr(SymplecticSpace, "perp", counted)
     for k in layers(sp):
         grassmannian(sp, k)
-    assert len(calls) == sum(grassmannian_size(n, p, j) for j in range(n - 1))
+    expected = [
+        s.rows for k in range(n - 1) for s in grassmannian(sp, k) if has_free_column(s)
+    ]
+    assert calls == expected
+    assert 0 < len(expected) < sum(grassmannian_size(n, p, j) for j in range(n - 1))
 
 
-# _levelwise forms s + q by clearing q's pivot column in s's rows; every
-# pair it visits while building the top layer is checked against rref.
-@pytest.mark.parametrize("n,p", CHECK_GRID)
+# _levelwise forms each member u of G_k once, as Subspace(p, d, s.rows + (q,))
+# with s = u.rows[:-1] in G_(k-1); every row tuple it forms is checked
+# against rref, and the formed members against the layers.
+@pytest.mark.parametrize("n,p", ENUM_GRID)
 def test_one_point_extensions_match_row_reduction(n, p, monkeypatch, cold_levels):
     sp = SymplecticSpace.standard(n, p)
-    inner = grassmann._one_point_extensions
-    visited = []
+    formed = []
 
-    def checked(rows, candidates, p):
-        candidates = tuple(candidates)
-        for q, out in zip(candidates, inner(rows, candidates, p), strict=True):
-            assert out == _kernels.rref(rows + (q,), sp.dim, p)
-            visited.append(len(rows))
-            yield out
+    def checked(p, ambient, rows):
+        assert rows == _kernels.rref(rows, ambient, p)
+        formed.append(rows)
+        return Subspace(p, ambient, rows)
 
-    monkeypatch.setattr(grassmann, "_one_point_extensions", checked)
-    top_layer = grassmann._levelwise(sp, sp.n - 1)
-    assert [s.rows for s in top_layer] == [s.rows for s in grassmannian(sp, sp.n - 1)]
-    assert set(visited) == set(range(sp.n))
+    checked.span = Subspace.span
+    monkeypatch.setattr(grassmann, "Subspace", checked)
+    built = [grassmann._levelwise(sp, k) for k in layers(sp)]
+    monkeypatch.undo()
+    expected = [s.rows for layer in built for s in layer]
+    assert formed == expected
+    assert len(set(formed)) == len(formed)
+    below = {()}
+    for k, layer in enumerate(built):
+        rows = [s.rows for s in layer]
+        assert rows == [s.rows for s in grassmannian(sp, k)]
+        assert all(len(u) == k + 1 and u[:-1] in below for u in rows)
+        below = set(rows)
 
 
 @pytest.mark.parametrize("n,p", CHECK_GRID)
