@@ -650,7 +650,7 @@ def _corrupting_swap(f, bs_indices, outside, rng):
             base_witness = str(exc)
         pairs = [(min(a, j), max(a, j)) for j in range(nverts) if j != a]
         pairs += [(min(b, j), max(b, j)) for j in range(nverts) if j != b]
-        mismatches = check_adjacency_preservation(bad, pairs=pairs, limit=3)
+        mismatches = check_adjacency_preservation(bad, pairs)[:3]
         if not mismatches:
             continue
         try:
@@ -907,10 +907,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_grid(p, k_help="restrict to one layer"):
+    def add_grid(p):
         p.add_argument("--n", type=int, required=True, help="half the vector space dimension")
         p.add_argument("--p", type=int, required=True, help="field order (prime)")
-        p.add_argument("--k", type=int, default=None, help=k_help)
+        p.add_argument("--k", type=int, default=None, help="restrict to one layer")
 
     pe = sub.add_parser("enumerate", help="build Grassmannian caches and a count table")
     add_grid(pe)

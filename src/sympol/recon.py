@@ -189,19 +189,17 @@ def check_base_preservation(f: GrassmannianMap, bases):
     return tuple(image_base(f, base) for base in bases)
 
 
-def check_adjacency_preservation(f: GrassmannianMap, pairs=None, limit=5):
+def check_adjacency_preservation(f: GrassmannianMap, pairs):
     """Adjacency, and below the top layer ortho-adjacency, both ways.
 
-    Every unordered element pair is compared by default.  Returns the
-    mismatches found, capped at the limit; an empty tuple is a pass.
+    Compares each given element pair.  Returns every mismatch, in pair
+    order; an empty tuple is a pass.
     """
     source, target, table = f.source, f.target, f.table
     below_top = source.k < source.space.n - 1
     src_adj, src_ortho = adjacency_masks(source.space, source.k)
     tgt_adj, tgt_ortho = adjacency_masks(target.space, target.k)
     size = len(source)
-    if pairs is None:
-        pairs = combinations(range(size), 2)
     bad = []
     for i, j in pairs:
         if not (0 <= i < size and 0 <= j < size):
@@ -214,8 +212,6 @@ def check_adjacency_preservation(f: GrassmannianMap, pairs=None, limit=5):
             so, to = bool(src_ortho[i] >> j & 1), bool(tgt_ortho[a] >> b & 1)
             if so != to:
                 bad.append((i, j, "ortho", so, to))
-        if len(bad) >= limit:
-            break
     return tuple(bad)
 
 
@@ -393,20 +389,20 @@ def check_top_transport(f: GrassmannianMap, g: GrassmannianMap) -> int:
     return count
 
 
-def reconstruct(f: GrassmannianMap, check_bases=()):
+def reconstruct(f: GrassmannianMap):
     """Walk a layer map down to points and package the verified result.
 
-    The standard base plus any bases in check_bases run through every
-    verification pass: base subsets must keep mapping to base subsets
-    on each level, hyperplane images must stay inside member images,
-    the final point table must respect orthogonality in both
-    directions, and inducing it back up must reproduce the input.
+    The standard base runs through every verification pass: base
+    subsets must keep mapping to base subsets on each level, hyperplane
+    images must stay inside member images, the final point table must
+    respect orthogonality in both directions, and inducing it back up
+    must reproduce the input.
     Returns (point_map, certificate); certificate levels record the
     checks run.  Failures raise ReconstructionError carrying the
     certificate with the violated check named at its level.
     """
     space = f.source.space
-    bases = (SymplecticBase.standard(space),) + tuple(check_bases)
+    bases = (SymplecticBase.standard(space),)
     records = []
     report = {"space": space.header(), "k": f.source.k, "levels": records, "pass": False}
 

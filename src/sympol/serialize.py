@@ -104,21 +104,21 @@ def encode_point_map(h):
     }
 
 
-def decode_point_map(obj, where="point map"):
+def decode_point_map(obj):
     from sympol.bases import PointMap
 
-    source = _parse_map_space(_need(obj, "space", dict, where), where + ".space")
-    target = _parse_map_space(_need(obj, "target_space", dict, where), where + ".target_space")
+    source = _parse_map_space(_need(obj, "space", dict, "point map"), "point map.space")
+    target = _parse_map_space(_need(obj, "target_space", dict, "point map"), "point map.target_space")
     table = {}
-    for entry in _need(obj, "pairs", list, where):
+    for entry in _need(obj, "pairs", list, "point map"):
         if not isinstance(entry, list) or len(entry) != 2:
-            raise SchemaError(f"{where}: pairs must be [source, target] lists")
+            raise SchemaError("point map: pairs must be [source, target] lists")
         a, b = entry
         for vec in (a, b):
             if not (isinstance(vec, list) and all(_is_int(x) for x in vec)):
-                raise SchemaError(f"{where}: pairs must hold lists of integer coordinates")
+                raise SchemaError("point map: pairs must hold lists of integer coordinates")
         if tuple(a) in table:
-            raise SchemaError(f"{where}: duplicate pair for source point {a}")
+            raise SchemaError(f"point map: duplicate pair for source point {a}")
         table[tuple(a)] = tuple(b)
     return PointMap(source, target, table)
 
@@ -133,33 +133,33 @@ def encode_grassmannian_map(f):
     }
 
 
-def decode_grassmannian_map(obj, where="map"):
+def decode_grassmannian_map(obj):
     from sympol.grassmann import grassmannian
     from sympol.recon import GrassmannianMap
 
-    src_obj = _need(obj, "source", dict, where)
-    tgt_obj = _need(obj, "target", dict, where)
-    src_space = _parse_map_space(src_obj, where + ".source")
-    tgt_space = _parse_map_space(tgt_obj, where + ".target")
-    source = grassmannian(src_space, _need(src_obj, "k", int, where))
-    target = grassmannian(tgt_space, _need(tgt_obj, "k", int, where))
-    entries = _need(obj, "table", list, where)
+    src_obj = _need(obj, "source", dict, "map")
+    tgt_obj = _need(obj, "target", dict, "map")
+    src_space = _parse_map_space(src_obj, "map.source")
+    tgt_space = _parse_map_space(tgt_obj, "map.target")
+    source = grassmannian(src_space, _need(src_obj, "k", int, "map"))
+    target = grassmannian(tgt_space, _need(tgt_obj, "k", int, "map"))
+    entries = _need(obj, "table", list, "map")
     table = [None] * len(source)
     seen = 0
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 2:
-            raise SchemaError(f"{where}: table entries must be [i, j] pairs")
+            raise SchemaError("map: table entries must be [i, j] pairs")
         i, j = entry
         if not (_is_int(i) and _is_int(j)):
-            raise SchemaError(f"{where}: table entries must be integer pairs")
+            raise SchemaError("map: table entries must be integer pairs")
         if not (0 <= i < len(source) and 0 <= j < len(target)):
-            raise SchemaError(f"{where}: table index out of range")
+            raise SchemaError("map: table index out of range")
         if table[i] is not None:
-            raise SchemaError(f"{where}: duplicate table entry for {i}")
+            raise SchemaError(f"map: duplicate table entry for {i}")
         table[i] = j
         seen += 1
     if seen != len(source):
-        raise SchemaError(f"{where}: table must cover all {len(source)} source elements")
+        raise SchemaError(f"map: table must cover all {len(source)} source elements")
     return GrassmannianMap(source, target, tuple(table))
 
 

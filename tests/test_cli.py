@@ -189,10 +189,6 @@ def test_trial_count_decides_whether_a_suite_is_seeded(run, tmp_path, capsys, na
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_verify_requires_seed(run, tmp_path):
-    assert run("verify", "--n", 2, "--p", 2, "--suite", "sizes", "--out", tmp_path / "r.json") == 2
-
-
 @pytest.mark.parametrize("trials", [0, -3])
 def test_verify_rejects_trials_below_one(run, tmp_path, capsys, trials):
     out = tmp_path / "r.json"

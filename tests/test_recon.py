@@ -1,5 +1,6 @@
 """Layer maps, descent to the point layer and reconstruction."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -247,7 +248,8 @@ def test_adjacency_preserved_by_induced_maps(small_space):
     sp = small_space
     h = random_collineation(sp, 21)
     for k in layers(sp):
-        assert check_adjacency_preservation(induce(h, k)) == ()
+        f = induce(h, k)
+        assert check_adjacency_preservation(f, combinations(range(len(f.source)), 2)) == ()
 
 
 def test_adjacency_check_reports_mismatches():
@@ -256,9 +258,10 @@ def test_adjacency_check_reports_mismatches():
     table = list(range(len(g1)))
     # an arbitrary transposition is almost never a collineation image
     table[0], table[5] = table[5], table[0]
-    bad = check_adjacency_preservation(GrassmannianMap(g1, g1, table), limit=3)
+    bad = check_adjacency_preservation(
+        GrassmannianMap(g1, g1, table), combinations(range(len(g1)), 2)
+    )
     assert bad
-    assert len(bad) <= 3
     for i, j, kind, src, tgt in bad:
         assert kind in ("adjacent", "ortho")
         assert src != tgt
@@ -497,7 +500,7 @@ def test_reconstruct_round_trip(small_space):
     for seed in range(3):
         h = random_collineation(sp, seed)
         for k in layers(sp):
-            pm, cert = reconstruct(induce(h, k), check_bases=(random_base(sp, seed),))
+            pm, cert = reconstruct(induce(h, k))
             assert pm == h
             assert cert["pass"]
             assert_certificate_shape(cert, sp, k)

@@ -181,6 +181,19 @@ def test_witness_decides_inexactness_on_small_layers(n, p):
                     assert witness is None
 
 
+def test_certify_inexact_rejects_a_base_that_fails_to_cover(monkeypatch):
+    sp = SymplecticSpace.standard(3, 2)
+    bs = BaseSubset(SymplecticBase.standard(sp), 1)
+    collection = next(
+        members
+        for _, members in maximal_inexact_families(bs)
+        if inexactness_witness(bs, members) is not None
+    )
+    monkeypatch.setattr(subsets, "perturb_pair", lambda base, i, j, c: random_base(sp, "stranger"))
+    with pytest.raises(RuntimeError, match="witness base fails to cover the collection"):
+        certify_inexact(bs, collection)
+
+
 def test_pinning_implies_exact():
     sp = SymplecticSpace.standard(2, 3)
     for bs in subsets_of(sp):
