@@ -11,7 +11,11 @@ Bases are generated three independent ways: directly from the standard
 coordinate frame, as images under random products of symplectic
 transvections, and by exhaustive backtracking over point indices.  The
 backtracking count is cross-checked in the tests against the closed form
-|Sp(2n, p)| / ((p - 1)^n 2^n n!) and against a group-orbit sweep.
+|Sp(2n, p)| / ((p - 1)^n 2^n n!) and against a group-orbit sweep.  The
+backtracking walk, base_columns, records one compact column of point
+indices per base position; enumerate_all_bases builds its base objects
+from those columns, and the base-subset universe reads them directly,
+with no base object.
 
 A random product of transvections is never multiplied out: the rows
 e_1..e_2n are pushed through the seeded transvections one at a time,
@@ -24,7 +28,9 @@ as the tests' oracle for both.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import combinations, repeat
 from math import factorial
 from operator import mul
 
@@ -343,35 +349,69 @@ def _require_enumerable(space):
 
 
 @lru_cache(maxsize=None)
-def enumerate_all_bases(space: SymplecticSpace):
-    """Every symplectic base exactly once, by index backtracking.
+def base_columns(space: SymplecticSpace):
+    """Every symplectic base exactly once, as one index column per position.
 
-    Bases are produced as sorted lists of non-orthogonal index pairs;
-    orthogonality between chosen pairs forces linear independence, so no
-    rank checks are needed.
+    Column i is a bytes object holding the point index, in
+    space.all_points(), of position i of every base, in enumeration
+    order; position i pairs with n + i, as in standard_sigma.  One byte
+    per index is enough on BASE_GRID, whose spaces have at most 63
+    points, and bytes refuse an index above 255 rather than wrap it.
+
+    The order is that of a backtracking walk over non-orthogonal index
+    pairs (a, b) with a < b, the a's increasing; orthogonality between
+    chosen pairs forces linear independence, so no rank checks are
+    needed.  The points orthogonal to a chosen pair span a nondegenerate
+    subspace with one pair fewer, and the bases below the pair are that
+    subspace's own bases whose first a exceeds this one: a suffix of its
+    table, since its table lists first a's in increasing order.  So each
+    subspace's table is built once, however many pairs lead to it.  A
+    table of one pair is a hyperbolic line, on which any two distinct
+    points are non-orthogonal, so it lists every 2-subset of the line.
+    The feasibility gate runs before any table is read.
     """
     _require_enumerable(space)
-    pts = space.all_points()
     masks = space.ortho_masks()
-    npts = len(pts)
-    full = (1 << npts) - 1
-    n = space.n
-    sigma = standard_sigma(n)
-    out = []
+    full = (1 << len(masks)) - 1
+    tables = {}  # point mask of a nondegenerate subspace -> its columns
 
-    def rec(pairs, orthoset, min_a):
-        if len(pairs) == n:
-            points = tuple(pts[a] for a, _ in pairs) + tuple(pts[b] for _, b in pairs)
-            out.append(SymplecticBase(space, points, sigma))
-            return
-        cand_a = orthoset >> min_a << min_a
-        for a in bits(cand_a):
-            above = full >> (a + 1) << (a + 1)
-            for b in bits(orthoset & ~masks[a] & above):
-                rec(pairs + ((a, b),), orthoset & masks[a] & masks[b], a + 1)
+    def table(span, m):
+        """Columns of every base of the subspace of m pairs on span."""
+        got = tables.get(span)
+        if got is None:
+            if m == 1:
+                pairs = list(combinations(bits(span), 2))
+                got = (bytes(a for a, _ in pairs), bytes(b for _, b in pairs))
+            else:
+                got = tuple(bytearray() for _ in range(2 * m))
+                for a in bits(span):
+                    above = full >> (a + 1) << (a + 1)
+                    for b in bits(span & ~masks[a] & above):
+                        sub = table(span & masks[a] & masks[b], m - 1)
+                        start = bisect_left(sub[0], a + 1)
+                        count = len(sub[0]) - start
+                        got[0].extend(repeat(a, count))
+                        got[m].extend(repeat(b, count))
+                        for i in range(1, m):
+                            got[i].extend(sub[i - 1][start:])
+                            got[m + i].extend(sub[m + i - 2][start:])
+            tables[span] = got
+        return got
 
-    rec((), full, 0)
-    return tuple(out)
+    return tuple(map(bytes, table(full, space.n)))
+
+
+@lru_cache(maxsize=None)
+def enumerate_all_bases(space: SymplecticSpace):
+    """Every symplectic base exactly once, in base_columns order.
+
+    Base t takes position i from row t of column i.  The bases share
+    one sigma tuple.
+    """
+    columns = base_columns(space)
+    pts = space.all_points()
+    points = zip(*(map(pts.__getitem__, column) for column in columns))
+    return tuple(map(SymplecticBase, repeat(space), points, repeat(standard_sigma(space.n))))
 
 
 def enumerate_bases_orbit(space: SymplecticSpace):

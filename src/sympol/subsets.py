@@ -13,10 +13,14 @@ of each partner pair, since partners are non-orthogonal, and at most
 k + 1 of the independent base points, exactly k + 1 only as their span.
 So a member lies in the base subset exactly when it meets k + 1 of the
 n partner-pair unions, and no index set is visited per base.  The
-oracle reads the universe by member, through universe_columns, its
-transpose built on first use: covering_bases is one AND per member of
-the collection, and maximal_inexact_oracle splits the set of every
-base once per home member, so neither loops over the bases.
+count reads the index columns of base_columns one pair position at a
+time, as whole-list passes over blocks of bases, so no Python loop
+visits a base and no base object is needed; the blocks bound the
+memory the count holds at once.  The oracle reads the universe by
+member, through universe_columns, its transpose built on first use:
+covering_bases is one AND per member of the collection, and
+maximal_inexact_oracle splits the set of every base once per home
+member, so neither loops over the bases.
 
 BaseSubset.indices is the one route from a base's index sets to their
 G_k indices, built once per BaseSubset: the span of k + 1 base points
@@ -31,8 +35,9 @@ call, use it.
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
+from operator import and_, or_
 
-from sympol.bases import SymplecticBase, enumerate_all_bases, perturb_pair
+from sympol.bases import SymplecticBase, base_columns, enumerate_all_bases, perturb_pair
 from sympol.errors import DegenerateParameterError, DimensionError
 from sympol.grassmann import grassmannian_size, through_masks
 from sympol.linalg import (
@@ -396,43 +401,60 @@ def member_mask(bs: BaseSubset, collection) -> int:
     return mask
 
 
+# Bases per pass of subset_universe's count.  A pass over whole columns
+# would hold up to k + 2 lists of masks for every base at once; blocks
+# of this size cap that memory and change no result.
+UNIVERSE_BLOCK = 1024
+
+
 @lru_cache(maxsize=None)
 def subset_universe(space: SymplecticSpace, k):
     """Bitmask of every base subset of the layer, one per symplectic base.
 
-    Aligned with enumerate_all_bases, so the same feasibility grid
-    applies.  Read off as a threshold count, with no loop over index
-    sets: partners are non-orthogonal, so a totally isotropic member
-    holds at most one point of each partner pair, and the 2n base points
-    are independent, so a member of G_k holds at most k + 1 of them and
-    holds exactly k + 1 only when it is their span.  A member therefore
-    lies in the base subset exactly when it meets k + 1 of the n pair
-    unions through[a] | through[sigma a]; a running counter k + 1 deep
-    over those rows gives the mask.  Enumerated base points come from
-    space.all_points(), so they index through_masks with no
-    normalization.
+    Aligned with enumerate_all_bases and read off its base_columns, so
+    the same feasibility grid applies, and it is checked before any
+    layer is built.  Read off as a threshold count, with no loop over
+    index sets: partners are non-orthogonal, so a totally isotropic
+    member holds at most one point of each partner pair, and the 2n base
+    points are independent, so a member of G_k holds at most k + 1 of
+    them and holds exactly k + 1 only when it is their span.  A member
+    therefore lies in the base subset exactly when it meets k + 1 of the
+    n pair unions through[a] | through[sigma a]; a running counter
+    k + 1 deep over those rows gives the mask.  The unions are tabulated
+    once per call, for every non-orthogonal index pair a < b, since
+    column entries are point indices.  The count runs one pair position
+    at a time, each step one map over a block of bases, so no Python
+    loop visits a base; blocks of UNIVERSE_BLOCK bases keep the
+    counter's lists short.
     """
+    columns = base_columns(space)
     through = through_masks(space, k)
-    index = space.point_index()
-    size = base_subset_size(space.n, k)
-    deeper = range(k, 0, -1)
+    ortho = space.ortho_masks()
+    full = (1 << len(ortho)) - 1
+    unions = {}
+    for a, row in enumerate(through):
+        for b in bits((full ^ ortho[a]) >> (a + 1) << (a + 1)):
+            unions[a, b] = row | through[b]
+    union_of = unions.__getitem__
+    n = space.n
+    size = base_subset_size(n, k)
     masks = []
-    for number, base in enumerate(enumerate_all_bases(space)):
-        pts = base.points
-        # at_least[j]: members meeting at least j + 1 pair unions so far
-        at_least = [0] * (k + 1)
-        for a, b in enumerate(base.sigma):
-            if a < b:
-                row = through[index[pts[a]]] | through[index[pts[b]]]
-                for j in deeper:
-                    at_least[j] |= at_least[j - 1] & row
-                at_least[0] |= row
-        mask = at_least[k]
-        if mask.bit_count() != size:
-            raise RuntimeError(
-                f"base {number} meets {mask.bit_count()} members of G_{k}, not {size}"
-            )
-        masks.append(mask)
+    for start in range(0, len(columns[0]), UNIVERSE_BLOCK):
+        stop = start + UNIVERSE_BLOCK
+        # at_least[j]: members meeting at least j + 1 pair unions so far.
+        # Pair q sets entry q, empty until then, and skips each entry
+        # that the n - q - 1 pairs left can no longer lift to entry k.
+        at_least = [None] * (k + 1)
+        for q in range(n):
+            row = list(map(union_of, zip(columns[q][start:stop], columns[n + q][start:stop])))
+            for j in range(min(q, k), max(0, k + q + 1 - n) - 1, -1):
+                below = list(map(and_, at_least[j - 1], row)) if j else row
+                at_least[j] = below if j == q else list(map(or_, at_least[j], below))
+        counts = list(map(int.bit_count, at_least[k]))
+        if counts.count(size) != len(counts):
+            offset, count = next((t, c) for t, c in enumerate(counts) if c != size)
+            raise RuntimeError(f"base {start + offset} meets {count} members of G_{k}, not {size}")
+        masks += at_least[k]
     return tuple(masks)
 
 

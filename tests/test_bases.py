@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sympol import subsets
 from sympol.bases import (
     PointMap,
     SymplecticBase,
@@ -32,6 +33,7 @@ from sympol.errors import (
 )
 from sympol.linalg import vec_add
 from sympol.space import BASE_GRID, ENUM_GRID, SymplecticSpace
+from sympol.subsets import BaseSubset, maximal_inexact_oracle, subset_universe
 
 
 def test_standard_base_recognized(small_space):
@@ -188,9 +190,21 @@ def test_orbit_route_agrees(n, p):
     assert keys == enumerate_bases_orbit(space)
 
 
-def test_enumeration_feasibility_gate():
+def test_enumeration_feasibility_gate(monkeypatch, tmp_path):
+    # the gate fires before any layer is read, built or written
+    def no_layers(space, k):
+        raise AssertionError(f"layer {k} read before the feasibility gate")
+
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(subsets, "through_masks", no_layers)
+    sp = SymplecticSpace.standard(3, 3)
     with pytest.raises(FeasibilityError):
-        enumerate_all_bases(SymplecticSpace.standard(3, 3))
+        enumerate_all_bases(sp)
+    with pytest.raises(FeasibilityError):
+        subset_universe(sp, 2)
+    with pytest.raises(FeasibilityError):
+        maximal_inexact_oracle(BaseSubset(SymplecticBase.standard(sp), 1))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_point_map_validation(small_space):

@@ -1,5 +1,6 @@
 """Base subsets, their inexact collections and the exactness oracle."""
 
+import hashlib
 import random
 from itertools import combinations
 from math import comb
@@ -7,7 +8,13 @@ from math import comb
 import pytest
 
 from sympol import subsets
-from sympol.bases import SymplecticBase, enumerate_all_bases, is_symplectic_base, random_base
+from sympol.bases import (
+    SymplecticBase,
+    base_columns,
+    enumerate_all_bases,
+    is_symplectic_base,
+    random_base,
+)
 from sympol.errors import DegenerateParameterError, DimensionError
 from sympol.grassmann import adjacent, grassmannian, through_masks
 from sympol.linalg import Subspace, vec_scale
@@ -446,19 +453,84 @@ def test_subset_universe_matches_index_set_route(n, p):
         assert subset_universe(sp, k) == tuple(index_set_route_mask(b, k) for b in bases)
 
 
-def test_subset_universe_rejects_a_corrupt_through_table(monkeypatch):
-    sp = SymplecticSpace.standard(2, 2)
+def scan_subset_universe(space, k, through):
+    """subset_universe by one threshold count per base, over a given
+    through table: the universe build before the count ran by pair
+    position over index columns (reference)."""
+    index = space.point_index()
+    deeper = range(k, 0, -1)
+    for base in enumerate_all_bases(space):
+        pts = base.points
+        at_least = [0] * (k + 1)
+        for a, b in enumerate(base.sigma):
+            if a < b:
+                row = through[index[pts[a]]] | through[index[pts[b]]]
+                for j in deeper:
+                    at_least[j] |= at_least[j - 1] & row
+                at_least[0] |= row
+        yield at_least[k]
+
+
+# SHA-256 of the enumeration order and every layer's universe, recorded
+# before base enumeration and the universe were read off index columns.
+ENUMERATION_DIGESTS = {
+    (2, 2): "b162eba152076e0811dcc124749d330cf5ce27678675ca086ed7d2673362d879",
+    (2, 3): "defc33f223814553dc2cf194b042ff69232a13f531270bc083033c539a72399a",
+    (3, 2): "fe70c17ff5916c9a347a1b3861cbca88b0f3e9429c4e04ebdfaef1a052631338",
+}
+
+
+@pytest.mark.parametrize("n,p", BASE_GRID)
+def test_enumeration_and_universe_are_pinned(n, p):
+    sp = SymplecticSpace.standard(n, p)
+    bases = enumerate_all_bases(sp)
+    digest = hashlib.sha256()
+    for base in bases:
+        digest.update(repr(base.points).encode())
+    for k in layers(sp):
+        digest.update(b"|")
+        for mask in subset_universe(sp, k):
+            digest.update(b"%x," % mask)
+    assert digest.hexdigest() == ENUMERATION_DIGESTS[n, p]
+    # the index columns name the enumerated points, base by base
+    pts = sp.all_points()
+    columns = base_columns(sp)
+    assert len(columns) == sp.dim
+    assert all(len(column) == len(bases) for column in columns)
+    for t, base in enumerate(bases):
+        assert base.points == tuple(pts[column[t]] for column in columns)
+
+
+# One member dropped from the through row of the first point of one base.
+# At (3, 2) the corrupted base is the last one, and the first base it
+# breaks lies past the first block of the count.
+@pytest.mark.parametrize(
+    "n,p,number,past_first_block", ((2, 2, 0, False), (3, 2, -1, True)), ids=("2-2", "3-2")
+)
+def test_subset_universe_rejects_a_corrupt_through_table(
+    monkeypatch, n, p, number, past_first_block
+):
+    sp = SymplecticSpace.standard(n, p)
     k = 1
-    base = enumerate_all_bases(sp)[0]
+    size = base_subset_size(n, k)
+    base = enumerate_all_bases(sp)[number]
     home = index_set_route_mask(base, k)
     through = list(through_masks(sp, k))
     point = sp.point_index()[base.points[0]]
     row = through[point] & home
     through[point] &= ~(row & -row)
+    first, count = next(
+        (b, mask.bit_count())
+        for b, mask in enumerate(scan_subset_universe(sp, k, through))
+        if mask.bit_count() != size
+    )
+    assert (first >= subsets.UNIVERSE_BLOCK) == past_first_block
     monkeypatch.setattr(subsets, "through_masks", lambda space, layer: tuple(through))
     subset_universe.cache_clear()
     try:
-        with pytest.raises(RuntimeError, match="base 0 meets 3 members of G_1, not 4"):
+        with pytest.raises(
+            RuntimeError, match=f"^base {first} meets {count} members of G_1, not {size}$"
+        ):
             subset_universe(sp, k)
     finally:
         subset_universe.cache_clear()
