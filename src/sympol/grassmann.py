@@ -2,12 +2,15 @@
 
 G_k collects the totally isotropic subspaces of projective dimension k,
 sorted by the global row-matrix ordering; downstream code refers to its
-elements by index.  Enumeration works level by level, building each
-level once per space and each member once: a member u of G_k is formed
-from its canonical prefix s = u.rows[:-1], a member of G_(k-1), and a
-last row q, a point of perp(s) that is zero at s's pivot columns and
-has its pivot in a free column of s (after s's last pivot, and zero in
-every row of s).  A member of G_(k-1) with no free column is the prefix
+elements by index.  Enumeration works level by level, with one store
+per layer: the memo behind grassmannian, backed by the disk cache.  A
+layer missing from both is built from the stored layer below it, loaded
+or built in turn, so building G_k also stores every layer below it.
+Each member is formed once: a member u of G_k is formed from its
+canonical prefix s = u.rows[:-1], a member of G_(k-1), and a last row
+q, a point of perp(s) that is zero at s's pivot columns and has its
+pivot in a free column of s (after s's last pivot, and zero in every
+row of s).  A member of G_(k-1) with no free column is the prefix
 of nothing and is skipped; every other s takes one perp, read off the
 space's orthogonality masks, and one span of the complement of s in it.
 The lower layer is sorted and each s's points come in the global
@@ -114,13 +117,13 @@ def ortho_adjacent(space: SymplecticSpace, s: Subspace, u: Subspace) -> bool:
     return adjacent(s, u) and not any(space.omega(a, b) for a in s.rows for b in u.rows)
 
 
-@lru_cache(maxsize=None)
-def _levelwise(space, k):
-    """G_k built from G_(k-1), itself taken from this memo, in sorted order.
+def _levelwise(space, k, lower):
+    """G_k built from lower, the sorted members of G_(k-1), in sorted order.
 
-    Memoized per space, so each level is built once however many layers
-    are built, and the tuples kept are the ones the Grassmannian objects
-    hold.  G_0 is every point.  Each member u of G_k (k > 0) is formed
+    A pure function: _grassmannian_memo hands it the layer below, so
+    each layer has one store and one copy per process, and a lower layer
+    loaded from disk is extended, never rebuilt.  G_0 is every point,
+    and lower is ignored.  Each member u of G_k (k > 0) is formed
     once, from its canonical prefix s = u.rows[:-1]: those rows are
     canonical and span a totally isotropic subspace, so s is in G_(k-1).
     The last row q lies in perp(s), vanishes at s's pivot columns, and
@@ -134,13 +137,13 @@ def _levelwise(space, k):
     a free column are the q.  No sort is needed: members sharing a
     prefix compare by q, which comes in the global order, and members
     with different prefixes compare as those prefixes do, which come
-    sorted from G_(k-1).  all_subspaces keeps rref as the oracle.
+    sorted in lower.  all_subspaces keeps rref as the oracle.
     """
     p, d = space.p, space.dim
     if not k:
         return tuple(Subspace(p, d, (q,)) for q in space.all_points())
     out = []
-    for s in _levelwise(space, k - 1):
+    for s in lower:
         last = s.rows[-1].index(1)
         free = {c for c in range(last + 1, d) if not any(r[c] for r in s.rows)}
         if not free:
@@ -244,7 +247,9 @@ def _grassmannian_memo(space, k, cache_dir):
     cached = _load_cached(space, k, cache_dir)
     if cached is not None:
         return Grassmannian(space, k, cached)
-    g = Grassmannian(space, k, _levelwise(space, k))
+    # resolved before the build, so _levelwise calls never nest
+    lower = _grassmannian_memo(space, k - 1, cache_dir).elements if k else ()
+    g = Grassmannian(space, k, _levelwise(space, k, lower))
     obj = {
         "format": CACHE_FORMAT,
         "space": space.header(),
@@ -261,7 +266,10 @@ def grassmannian(space: SymplecticSpace, k) -> Grassmannian:
     """G_k for the space, memoized per (space, k, cache directory).
 
     The layer is read from the disk cache under default_cache_dir() when
-    a valid file is there, and otherwise built and written to it.
+    a valid file is there, and otherwise built from G_(k-1), itself
+    taken from this memo, and written to it.  So a cold G_k also stores
+    the layers below it, and a lower layer loaded from disk is extended,
+    never rebuilt.
     """
     return _grassmannian_memo(space, k, default_cache_dir())
 

@@ -20,7 +20,10 @@ memory the count holds at once.  The oracle reads the universe by
 member, through universe_columns, its transpose built on first use:
 covering_bases is one AND per member of the collection, and
 maximal_inexact_oracle splits the set of every base once per home
-member, so neither loops over the bases.
+member, so neither loops over the bases.  Neither builds the base
+objects of enumerate_all_bases either: covering_bases forms the at most
+two bases it returns from their rows of base_columns, so an exactness
+question makes no other base object.
 
 BaseSubset.indices is the one route from a base's index sets to their
 G_k indices, built once per BaseSubset: the span of k + 1 base points
@@ -37,7 +40,7 @@ from itertools import combinations, islice
 from math import comb
 from operator import and_, or_
 
-from sympol.bases import SymplecticBase, base_columns, enumerate_all_bases, perturb_pair
+from sympol.bases import SymplecticBase, base_columns, perturb_pair, standard_sigma
 from sympol.errors import DegenerateParameterError, DimensionError
 from sympol.grassmann import grassmannian_size, through_masks
 from sympol.linalg import (
@@ -500,15 +503,21 @@ def covering_bases(bs: BaseSubset, collection):
     Still exhaustive: the AND of the collection's universe_columns
     entries masks every base whose subset covers it, and its two lowest
     bits name the first two.  The home base always qualifies, so a
-    second one certifies that the collection is inexact.
+    second one certifies that the collection is inexact.  Only the
+    returned bases are built, from their rows of base_columns, as
+    enumerate_all_bases builds them; no other base object is made.
     """
     space = bs.base.space
-    bases = enumerate_all_bases(space)
-    columns = universe_columns(space, bs.k)
-    hits = (1 << len(bases)) - 1
+    columns = base_columns(space)
+    covers = universe_columns(space, bs.k)
+    hits = (1 << len(columns[0])) - 1
     for m in bits(member_mask(bs, collection)):
-        hits &= columns[m]
-    return tuple(bases[b] for b in islice(bits(hits), 2))
+        hits &= covers[m]
+    pts, sigma = space.all_points(), standard_sigma(space.n)
+    return tuple(
+        SymplecticBase(space, tuple(pts[column[b]] for column in columns), sigma)
+        for b in islice(bits(hits), 2)
+    )
 
 
 def is_exact(bs: BaseSubset, collection) -> bool:

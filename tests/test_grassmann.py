@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import shutil
 from itertools import product
 
 import pytest
@@ -65,16 +67,7 @@ LAYER_DIGESTS_3_3 = (
 )
 
 
-@pytest.fixture
-def cold_levels():
-    """An empty _levelwise memo, emptied again afterwards, so that every
-    level the test asks for is built and none it built is kept."""
-    grassmann._levelwise.cache_clear()
-    yield
-    grassmann._levelwise.cache_clear()
-
-
-def test_layer_digests_are_pinned_at_3_3(tmp_path, monkeypatch, cold_levels):
+def test_layer_digests_are_pinned_at_3_3(tmp_path, monkeypatch):
     # a fresh cache directory makes every layer a cold build
     monkeypatch.setenv("SYMPOL_CACHE_DIR", str(tmp_path))
     sp = SymplecticSpace.standard(3, 3)
@@ -89,13 +82,29 @@ def has_free_column(s):
     return any(all(r[c] == 0 for r in s.rows) for c in range(last + 1, s.ambient))
 
 
-# _levelwise builds each level once, from prefixes: a cold build of every
-# layer takes one perp per member of G_0..G_(n-2) with a free column, and
-# none for any other member or for the empty subspace.
-@pytest.mark.parametrize("n,p", ENUM_GRID)
-def test_cold_build_extends_each_level_once(n, p, tmp_path, monkeypatch, cold_levels):
-    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(tmp_path))
+# _levelwise builds each level once, from prefixes: a cold build of G_(n-1)
+# takes one perp per member of G_0..G_(n-2) with a free column, none for any
+# other member or for the empty subspace, and stores every layer below it.
+# A layer loaded from disk is extended, not rebuilt: with only G_1's file,
+# copied from a build in another directory, G_2 takes one perp per member of
+# G_1 with a free column, and G_0 is never built.
+@pytest.mark.parametrize(
+    "n,p,loaded",
+    [pytest.param(n, p, None, id=f"{n}-{p}") for n, p in ENUM_GRID]
+    + [pytest.param(3, 3, 1, id="3-3-from-k1")],
+)
+def test_cold_build_extends_each_level_once(n, p, loaded, tmp_path, monkeypatch):
     sp = SymplecticSpace.standard(n, p)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    low = 0
+    if loaded is not None:
+        monkeypatch.setenv("SYMPOL_CACHE_DIR", str(tmp_path / "built"))
+        grassmannian(sp, loaded)
+        name = os.path.basename(grassmann._cache_path(tmp_path / "built", sp, loaded))
+        shutil.copy(tmp_path / "built" / name, cache / name)
+        low = loaded
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(cache))
     inner = SymplecticSpace.perp
     calls = []
 
@@ -104,20 +113,21 @@ def test_cold_build_extends_each_level_once(n, p, tmp_path, monkeypatch, cold_le
         return inner(self, s)
 
     monkeypatch.setattr(SymplecticSpace, "perp", counted)
-    for k in layers(sp):
-        grassmannian(sp, k)
+    grassmannian(sp, n - 1)
+    stored = [os.path.basename(grassmann._cache_path(cache, sp, k)) for k in range(low, n)]
+    assert sorted(os.listdir(cache)) == stored
     expected = [
-        s.rows for k in range(n - 1) for s in grassmannian(sp, k) if has_free_column(s)
+        s.rows for k in range(low, n - 1) for s in grassmannian(sp, k) if has_free_column(s)
     ]
     assert calls == expected
-    assert 0 < len(expected) < sum(grassmannian_size(n, p, j) for j in range(n - 1))
+    assert 0 < len(expected) < sum(grassmannian_size(n, p, j) for j in range(low, n - 1))
 
 
 # _levelwise forms each member u of G_k once, as Subspace(p, d, s.rows + (q,))
 # with s = u.rows[:-1] in G_(k-1); every row tuple it forms is checked
 # against rref, and the formed members against the layers.
 @pytest.mark.parametrize("n,p", ENUM_GRID)
-def test_one_point_extensions_match_row_reduction(n, p, monkeypatch, cold_levels):
+def test_one_point_extensions_match_row_reduction(n, p, monkeypatch):
     sp = SymplecticSpace.standard(n, p)
     formed = []
 
@@ -128,7 +138,9 @@ def test_one_point_extensions_match_row_reduction(n, p, monkeypatch, cold_levels
 
     checked.span = Subspace.span
     monkeypatch.setattr(grassmann, "Subspace", checked)
-    built = [grassmann._levelwise(sp, k) for k in layers(sp)]
+    built = []
+    for k in layers(sp):
+        built.append(grassmann._levelwise(sp, k, built[-1] if built else ()))
     monkeypatch.undo()
     expected = [s.rows for layer in built for s in layer]
     assert formed == expected

@@ -595,7 +595,26 @@ def test_oracle_matches_the_universe_scans(n, p):
             collections = [(), whole[:1], whole]
             collections += [rng.sample(whole, rng.randint(1, len(whole))) for _ in range(6)]
             for collection in collections:
-                assert covering_bases(bs, collection) == scan_covering_bases(bs, collection)
+                got = covering_bases(bs, collection)
+                want = scan_covering_bases(bs, collection)
+                assert [(b.points, b.sigma) for b in got] == [(b.points, b.sigma) for b in want]
+
+
+# Exactness questions read base_columns and the universe: covering_bases
+# forms only the bases it returns, so enumerate_all_bases is neither called
+# nor looked up, and no process that only asks them holds every base object.
+@pytest.mark.parametrize("n,p", BASE_GRID)
+def test_exactness_questions_build_no_base_objects(n, p):
+    sp = SymplecticSpace.standard(n, p)
+    before = enumerate_all_bases.cache_info()
+    for base in (SymplecticBase.standard(sp), random_base(sp, "objects")):
+        for k in layers(sp):
+            bs = BaseSubset(base, k)
+            for collection in ((), bs.index_sets[:1], type1_members(bs, 0), bs.index_sets):
+                assert len(covering_bases(bs, collection)) in (1, 2)
+                is_exact(bs, collection)
+            maximal_inexact_oracle(bs)
+    assert enumerate_all_bases.cache_info() == before
 
 
 def test_universe_columns_are_built_once_on_first_use():
