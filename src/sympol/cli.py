@@ -9,8 +9,10 @@ Subcommands
 
 Every command is deterministic for a fixed seed.  A verify suite
 registered with a trial count is seeded: it draws its own stream from
-the seed and refuses to run without --seed.  Reports are JSON with a
-CSV summary next to them.  Exit status 0 means everything checked
+the seed and refuses to run without --seed.  A suite's runner yields
+its report entries, and each check keeps its own tally, so a failing
+entry's witness is that check's own first failure.  Reports are JSON
+with a CSV summary next to them.  Exit status 0 means everything checked
 passed, 1 means a mathematical check failed (witnesses are in the
 report), 2 means the request itself was unusable or infeasible.
 """
@@ -23,6 +25,7 @@ import io
 import os
 import random
 import sys
+from itertools import combinations, product
 from math import comb
 
 from sympol.bases import SymplecticBase, random_base, random_collineation
@@ -98,13 +101,47 @@ SUITES: dict[str, Suite] = {}
 
 
 def _suite(name, anchor, grid=None, trials=None):
-    """Register a runner; a default trial count marks the suite seeded."""
+    """Register a runner; a default trial count marks the suite seeded.
+
+    A runner yields its report entries in order.  Each check counts its
+    outcomes in its own _Tally, so a failing entry's witness is that
+    check's first failure.
+    """
 
     def deco(fn):
         SUITES[name] = Suite(anchor, fn, grid, trials)
         return fn
 
     return deco
+
+
+class _Tally:
+    """One check's passes, failures and first failure witness.
+
+    Callers build a witness only on the failing branch, so a passing
+    check never formats one.
+    """
+
+    __slots__ = ("passes", "failures", "witness")
+
+    def __init__(self):
+        self.passes = 0
+        self.failures = 0
+        self.witness = None
+
+    def fail(self, witness):
+        self.failures += 1
+        if self.witness is None:
+            self.witness = witness
+
+    def attempt(self, trial, errors, check, *args):
+        """Count one trial of a check that signals failure by raising."""
+        try:
+            check(*args)
+        except errors as exc:
+            self.fail(f"trial {trial}: {exc}")
+        else:
+            self.passes += 1
 
 
 def _entry(check, params, expected, actual, witness=None):
@@ -143,7 +180,6 @@ def _params(cfg, k=None, **extra):
     trials=100,
 )
 def run_sizes(space, cfg, trials, rng):
-    entries = []
     for k in _layers(cfg):
         expected = base_subset_size(cfg.n, k)
         actual = expected
@@ -153,11 +189,10 @@ def run_sizes(space, cfg, trials, rng):
             if got != expected:
                 actual, witness = got, f"trial {t}"
                 break
-        entries.append(_entry("member-count", _params(cfg, k, trials=trials), expected, actual, witness))
+        yield _entry("member-count", _params(cfg, k, trials=trials), expected, actual, witness)
         if k < cfg.n - 1:
             from_above = base_subset_size(cfg.n, k + 1) * (k + 2) // (2 * (cfg.n - k - 1))
-            entries.append(_entry("recurrence", _params(cfg, k), expected, from_above))
-    return entries
+            yield _entry("recurrence", _params(cfg, k), expected, from_above)
 
 
 @_suite(
@@ -167,28 +202,26 @@ def run_sizes(space, cfg, trials, rng):
     trials=1000,
 )
 def run_common_base(space, cfg, trials, rng):
-    entries = []
     for k in _layers(cfg):
         g = grassmannian(space, k)
         if (cfg.n, cfg.p) == (2, 2):
             pairs = [(i, j) for i in range(len(g)) for j in range(i, len(g))]
         else:
             pairs = [(rng.randrange(len(g)), rng.randrange(len(g))) for _ in range(trials)]
-        ok = 0
-        witness = None
+        cover = _Tally()
         for i, j in pairs:
             try:
                 base = common_base(space, g[i], g[j])
             except (ValueError, RuntimeError) as exc:
-                witness = witness or f"pair ({i}, {j}): {exc}"
+                cover.fail(f"pair ({i}, {j}): {exc}")
                 continue
             inside = BaseSubset(base, k).indices()
             if i in inside and j in inside:
-                ok += 1
+                cover.passes += 1
             else:
-                witness = witness or f"pair ({i}, {j}): member missing from the built base"
-        entries.append(_entry("pair-coverage", _params(cfg, k, pairs=len(pairs)), len(pairs), ok, witness))
-    return entries
+                cover.fail(f"pair ({i}, {j}): member missing from the built base")
+        params = _params(cfg, k, pairs=len(pairs))
+        yield _entry("pair-coverage", params, len(pairs), cover.passes, cover.witness)
 
 
 @_suite(
@@ -198,7 +231,6 @@ def run_common_base(space, cfg, trials, rng):
     grid=BASE_GRID,
 )
 def run_classification(space, cfg, trials, rng):
-    entries = []
     for k in _layers(cfg):
         bs = BaseSubset(SymplecticBase.standard(space), k)
         families = maximal_inexact_families(bs)
@@ -207,38 +239,15 @@ def run_classification(space, cfg, trials, rng):
         expected_count = (2 * cfg.n if k < cfg.n - 1 else 0) + (
             2 * cfg.n * (cfg.n - 1) if k >= 1 else 0
         )
-        entries.append(_entry("family-count", _params(cfg, k), expected_count, len(oracle)))
+        yield _entry("family-count", _params(cfg, k), expected_count, len(oracle))
         diff = sorted(sorted(map(sorted, coll)) for coll in (oracle ^ constructed))
-        entries.append(
-            _entry(
-                "oracle-equals-construction",
-                _params(cfg, k),
-                0,
-                len(diff),
-                witness=diff[:2] or None,
-            )
-        )
-        first_sizes = {len(m) for lab, m in families if lab[0] == "first"}
-        second_sizes = {len(m) for lab, m in families if lab[0] == "second"}
+        yield _entry("oracle-equals-construction", _params(cfg, k), 0, len(diff), diff[:2] or None)
         if k < cfg.n - 1:
-            entries.append(
-                _entry(
-                    "first-type-size",
-                    _params(cfg, k),
-                    [first_type_size(cfg.n, k)],
-                    sorted(first_sizes),
-                )
-            )
+            first_sizes = sorted({len(m) for lab, m in families if lab[0] == "first"})
+            yield _entry("first-type-size", _params(cfg, k), [first_type_size(cfg.n, k)], first_sizes)
         if k >= 1:
-            entries.append(
-                _entry(
-                    "second-type-size",
-                    _params(cfg, k),
-                    [second_type_size(cfg.n, k)],
-                    sorted(second_sizes),
-                )
-            )
-    return entries
+            second_sizes = sorted({len(m) for lab, m in families if lab[0] == "second"})
+            yield _entry("second-type-size", _params(cfg, k), [second_type_size(cfg.n, k)], second_sizes)
 
 
 @_suite(
@@ -248,44 +257,36 @@ def run_classification(space, cfg, trials, rng):
 )
 def run_complement_counts(space, cfg, trials, rng):
     n = cfg.n
-    entries = []
     for k in _layers(cfg):
         bs = BaseSubset(SymplecticBase.standard(space), k)
         degs = disjointness_degrees(bs)
         first = sorted({c for lab, c in degs if lab[0] == "first"})
         second = sorted({c for lab, c in degs if lab[0] == "second"})
         if k == 0:
-            entries.append(_entry("first-type-degree", _params(cfg, k), [2 * n - 1], first))
-            entries.append(_entry("second-type-degrees", _params(cfg, k), [], second))
+            yield _entry("first-type-degree", _params(cfg, k), [2 * n - 1], first)
+            yield _entry("second-type-degrees", _params(cfg, k), [], second)
             expected_distinct = 2 * n
         elif k < n - 1:
-            entries.append(_entry("first-type-degree", _params(cfg, k), [4 * n - 3], first))
-            entries.append(_entry("second-type-degree", _params(cfg, k), [4], second))
+            yield _entry("first-type-degree", _params(cfg, k), [4 * n - 3], first)
+            yield _entry("second-type-degree", _params(cfg, k), [4], second)
             expected_distinct = 2 * n * n
         else:
-            entries.append(_entry("first-type-degrees", _params(cfg, k), [], first))
+            yield _entry("first-type-degrees", _params(cfg, k), [], first)
             if n <= 3:
-                entries.append(
-                    _entry("second-type-degree", _params(cfg, k), [4 * n * n - 12 * n + 14], second)
-                )
+                yield _entry("second-type-degree", _params(cfg, k), [4 * n * n - 12 * n + 14], second)
             else:
-                entries.append(
-                    _skip(
-                        "second-type-degree",
-                        _params(cfg, k),
-                        "top-layer degree constant derived only for n <= 3",
-                    )
+                yield _skip(
+                    "second-type-degree",
+                    _params(cfg, k),
+                    "top-layer degree constant derived only for n <= 3",
                 )
             expected_distinct = 2 * n * (n - 1)
-        entries.append(
-            _entry(
-                "distinct-complements",
-                _params(cfg, k),
-                expected_distinct,
-                len(distinct_complements(bs)),
-            )
+        yield _entry(
+            "distinct-complements",
+            _params(cfg, k),
+            expected_distinct,
+            len(distinct_complements(bs)),
         )
-    return entries
 
 
 @_suite(
@@ -297,42 +298,32 @@ def run_adjacency_count(space, cfg, trials, rng):
     n = cfg.n
     k = n - 1
     if cfg.k is not None and cfg.k != k:
-        return [
-            _skip(
-                "count-formula",
-                _params(cfg, cfg.k),
-                "complement counting reads adjacency only in the top layer",
-            )
-        ]
-    bs = BaseSubset(SymplecticBase.standard(space), k)
-    idx = list(bs.index_sets)
-    formula_bad = 0
-    iff_bad = 0
-    pairs = 0
-    witness = None
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            sa, ua = idx[a], idx[b]
-            pairs += 1
-            m = len(sa & ua) - 1
-            cnt = common_complement_count(bs, sa, ua)
-            if cnt != comb(m + 1, 2):
-                formula_bad += 1
-                witness = witness or [sorted(sa), sorted(ua), cnt]
-            if (len(sa & ua) == k) != (cnt == comb(k, 2)):
-                iff_bad += 1
-    entries = [_entry("count-formula", _params(cfg, k, pairs=pairs), 0, formula_bad, witness)]
-    if n >= 3:
-        entries.append(_entry("adjacency-iff", _params(cfg, k, pairs=pairs), 0, iff_bad))
-    else:
-        entries.append(
-            _skip(
-                "adjacency-iff",
-                _params(cfg, k),
-                "for n = 2 disjoint top-layer members also share C(k,2) = 0 complements",
-            )
+        yield _skip(
+            "count-formula",
+            _params(cfg, cfg.k),
+            "complement counting reads adjacency only in the top layer",
         )
-    return entries
+        return
+    bs = BaseSubset(SymplecticBase.standard(space), k)
+    formula, iff = _Tally(), _Tally()
+    for sa, ua in combinations(bs.index_sets, 2):
+        meet = len(sa & ua)
+        cnt = common_complement_count(bs, sa, ua)
+        # the meet has pdim m = meet - 1, so C(m+1, 2) = C(meet, 2)
+        if cnt != comb(meet, 2):
+            formula.fail([sorted(sa), sorted(ua), cnt])
+        if (meet == k) != (cnt == comb(k, 2)):
+            iff.fail([sorted(sa), sorted(ua), cnt])
+    params = _params(cfg, k, pairs=comb(len(bs), 2))
+    yield _entry("count-formula", params, 0, formula.failures, formula.witness)
+    if n >= 3:
+        yield _entry("adjacency-iff", params, 0, iff.failures, iff.witness)
+    else:
+        yield _skip(
+            "adjacency-iff",
+            _params(cfg, k),
+            "for n = 2 disjoint top-layer members also share C(k,2) = 0 complements",
+        )
 
 
 @_suite(
@@ -342,43 +333,33 @@ def run_adjacency_count(space, cfg, trials, rng):
 )
 def run_disjoint_criterion(space, cfg, trials, rng):
     sigma = SymplecticBase.standard(space).sigma
-    entries = []
     for k in _layers(cfg):
         if k == 0:
-            entries.append(
-                _skip(
-                    "disjointness-implication",
-                    _params(cfg, k),
-                    "at the point layer B(+i,-j) = {p_i}, so disjointness puts no constraint on j and j'",
-                )
+            yield _skip(
+                "disjointness-implication",
+                _params(cfg, k),
+                "at the point layer B(+i,-j) = {p_i}, so disjointness puts no constraint on j and j'",
             )
             continue
         top = k == cfg.n - 1
         bs = BaseSubset(SymplecticBase.standard(space), k)
         params_list = [(i, j) for i in range(space.dim) for j in range(space.dim) if j != i]
         sets = {(i, j): bs.select(plus=(i,), minus=(j,)) for i, j in params_list}
-        violations = 0
-        checked = 0
-        witness = None
-        for i, j in params_list:
-            for i2, j2 in params_list:
-                if sets[i, j] & sets[i2, j2]:
-                    continue
-                checked += 1
-                hit = i2 == sigma[i] or i2 == j or j2 == i or (top and j2 == sigma[j])
-                if not hit:
-                    violations += 1
-                    witness = witness or [i, j, i2, j2]
-        entries.append(
-            _entry(
-                "disjointness-implication-top" if top else "disjointness-implication",
-                _params(cfg, k, disjoint_pairs=checked),
-                0,
-                violations,
-                witness,
-            )
+        implied = _Tally()
+        for (i, j), (i2, j2) in product(params_list, repeat=2):
+            if sets[i, j] & sets[i2, j2]:
+                continue
+            if i2 == sigma[i] or i2 == j or j2 == i or (top and j2 == sigma[j]):
+                implied.passes += 1
+            else:
+                implied.fail([i, j, i2, j2])
+        yield _entry(
+            "disjointness-implication-top" if top else "disjointness-implication",
+            _params(cfg, k, disjoint_pairs=implied.passes + implied.failures),
+            0,
+            implied.failures,
+            implied.witness,
         )
-    return entries
 
 
 @_suite(
@@ -388,53 +369,37 @@ def run_disjoint_criterion(space, cfg, trials, rng):
     trials=25,
 )
 def run_inexact_certificate(space, cfg, trials, rng):
-    entries = []
     for k in _layers(cfg):
         bs = BaseSubset(random_base(space, rng.getrandbits(64)), k)
         collections = [members for _, members in maximal_inexact_families(bs)]
         for _ in range(trials):
             size = rng.randrange(2, len(bs) + 1)
             collections.append(frozenset(rng.sample(bs.index_sets, size)))
-        witnessed = []
-        certified = 0
-        witness = None
-        for coll in collections:
-            if inexactness_witness(bs, coll) is None:
-                continue
-            witnessed.append(coll)
+        witnessed = [coll for coll in collections if inexactness_witness(bs, coll) is not None]
+        certified = _Tally()
+        for coll in witnessed:
             try:
                 certify_inexact(bs, coll)
-                certified += 1
+                certified.passes += 1
             except RuntimeError as exc:
-                witness = witness or str(exc)
-        entries.append(
-            _entry(
-                "witnessed-collections-certified",
-                _params(cfg, k, collections=len(collections)),
-                len(witnessed),
-                certified,
-                witness,
-            )
+                certified.fail(str(exc))
+        yield _entry(
+            "witnessed-collections-certified",
+            _params(cfg, k, collections=len(collections)),
+            len(witnessed),
+            certified.passes,
+            certified.witness,
         )
         if (cfg.n, cfg.p) in BASE_GRID:
             contradictions = sum(1 for coll in witnessed if is_exact(bs, coll))
-            entries.append(
-                _entry(
-                    "witness-implies-inexact",
-                    _params(cfg, k, witnessed=len(witnessed)),
-                    0,
-                    contradictions,
-                )
-            )
+            params = _params(cfg, k, witnessed=len(witnessed))
+            yield _entry("witness-implies-inexact", params, 0, contradictions)
         else:
-            entries.append(
-                _skip(
-                    "witness-implies-inexact",
-                    _params(cfg, k),
-                    "exhaustive exactness oracle is limited to the base-enumerable grid",
-                )
+            yield _skip(
+                "witness-implies-inexact",
+                _params(cfg, k),
+                "exhaustive exactness oracle is limited to the base-enumerable grid",
             )
-    return entries
 
 
 @_suite(
@@ -443,27 +408,21 @@ def run_inexact_certificate(space, cfg, trials, rng):
     "order: c1 > c2, c1 = c2, c1 < c2",
 )
 def run_trichotomy(space, cfg, trials, rng):
-    witnesses = ((3, 1), (4, 2), (5, 3))
     signs = {}
-    entries = []
-    for n, k in witnesses:
-        space = SymplecticSpace(n, 2)
-        bs = BaseSubset(SymplecticBase.standard(space), k)
+    for n, k in ((3, 1), (4, 2), (5, 3)):
+        bs = BaseSubset(SymplecticBase.standard(SymplecticSpace(n, 2)), k)
         c1 = len(type1_members(bs, 0))
         c2 = len(type2_members(bs, 0, 1))
         params = {"n": n, "k": k, "c1": c1, "c2": c2}
-        entries.append(_entry("first-type-size", params, first_type_size(n, k), c1))
-        entries.append(_entry("second-type-size", params, second_type_size(n, k), c2))
+        yield _entry("first-type-size", params, first_type_size(n, k), c1)
+        yield _entry("second-type-size", params, second_type_size(n, k), c2)
         signs[">" if c1 > c2 else ("<" if c1 < c2 else "=")] = (n, k)
-    entries.append(
-        _entry(
-            "all-orders-realized",
-            {"witnesses": {s: list(w) for s, w in sorted(signs.items())}},
-            ["<", "=", ">"],
-            sorted(signs),
-        )
+    yield _entry(
+        "all-orders-realized",
+        {"witnesses": {s: list(w) for s, w in sorted(signs.items())}},
+        ["<", "=", ">"],
+        sorted(signs),
     )
-    return entries
 
 
 @_suite(
@@ -473,48 +432,39 @@ def run_trichotomy(space, cfg, trials, rng):
     trials=100,
 )
 def run_adjacency_preservation(space, cfg, trials, rng):
-    entries = []
     for k in _layers(cfg):
         g = grassmannian(space, k)
         adj, ortho = adjacency_masks(space, k)
+        below_top = k < cfg.n - 1
         exhaustive = cfg.n == 2
         member_sets = []
         if not exhaustive:
             for _ in range(50):
                 member_sets.append(BaseSubset(random_base(space, rng.getrandbits(64)), k).indices())
-        adj_bad = 0
-        ortho_bad = 0
+        adj_kept, ortho_kept = _Tally(), _Tally()
         pairs_checked = 0
-        witness = None
         for t in range(trials):
             tb = induce(random_collineation(space, rng.getrandbits(64)), k).table
             if exhaustive:
                 for i in range(len(g)):
                     pairs_checked += adj[i].bit_count()
                     if image_mask(adj[i], tb) != adj[tb[i]]:
-                        adj_bad += 1
-                        witness = witness or f"trial {t}, element {i}"
-                    if k < cfg.n - 1 and image_mask(ortho[i], tb) != ortho[tb[i]]:
-                        ortho_bad += 1
-                        witness = witness or f"trial {t}, element {i}"
+                        adj_kept.fail(f"trial {t}, element {i}")
+                    if below_top and image_mask(ortho[i], tb) != ortho[tb[i]]:
+                        ortho_kept.fail(f"trial {t}, element {i}")
             else:
                 for idxs in member_sets:
-                    for a in range(len(idxs)):
-                        for b in range(a + 1, len(idxs)):
-                            i, j = idxs[a], idxs[b]
-                            pairs_checked += 1
-                            if (adj[i] >> j & 1) != (adj[tb[i]] >> tb[j] & 1):
-                                adj_bad += 1
-                                witness = witness or f"trial {t}, pair ({i}, {j})"
-                            if k < cfg.n - 1 and (ortho[i] >> j & 1) != (ortho[tb[i]] >> tb[j] & 1):
-                                ortho_bad += 1
-                                witness = witness or f"trial {t}, pair ({i}, {j})"
+                    for i, j in combinations(idxs, 2):
+                        pairs_checked += 1
+                        if (adj[i] >> j & 1) != (adj[tb[i]] >> tb[j] & 1):
+                            adj_kept.fail(f"trial {t}, pair ({i}, {j})")
+                        if below_top and (ortho[i] >> j & 1) != (ortho[tb[i]] >> tb[j] & 1):
+                            ortho_kept.fail(f"trial {t}, pair ({i}, {j})")
         scope = "all-pairs" if exhaustive else "pairs-within-50-base-subsets"
         params = _params(cfg, k, trials=trials, pairs=pairs_checked, scope=scope)
-        entries.append(_entry("adjacency-transported", params, 0, adj_bad, witness))
-        if k < cfg.n - 1:
-            entries.append(_entry("ortho-adjacency-transported", params, 0, ortho_bad, witness))
-    return entries
+        yield _entry("adjacency-transported", params, 0, adj_kept.failures, adj_kept.witness)
+        if below_top:
+            yield _entry("ortho-adjacency-transported", params, 0, ortho_kept.failures, ortho_kept.witness)
 
 
 @_suite(
@@ -524,30 +474,16 @@ def run_adjacency_preservation(space, cfg, trials, rng):
     trials=25,
 )
 def run_preserves_base_subsets(space, cfg, trials, rng):
-    entries = []
     for k in _layers(cfg):
-        ok = 0
-        witness = None
+        preserved = _Tally()
         for t in range(trials):
             f = induce(random_collineation(space, rng.getrandbits(64)), k)
             bases = (SymplecticBase.standard(space),) + tuple(
                 random_base(space, rng.getrandbits(64)) for _ in range(3)
             )
-            try:
-                check_base_preservation(f, bases)
-                ok += 1
-            except RecognitionError as exc:
-                witness = witness or f"trial {t}: {exc}"
-        entries.append(
-            _entry(
-                "base-subsets-to-base-subsets",
-                _params(cfg, k, trials=trials, bases_per_map=4),
-                trials,
-                ok,
-                witness,
-            )
-        )
-    return entries
+            preserved.attempt(t, RecognitionError, check_base_preservation, f, bases)
+        params = _params(cfg, k, trials=trials, bases_per_map=4)
+        yield _entry("base-subsets-to-base-subsets", params, trials, preserved.passes, preserved.witness)
 
 
 @_suite(
@@ -558,40 +494,25 @@ def run_preserves_base_subsets(space, cfg, trials, rng):
     trials=10,
 )
 def run_transport(space, cfg, trials, rng):
-    entries = []
+    errors = (MapCheckError, RecognitionError)
     for k in _layers(cfg):
-        fam_ok = 0
-        span_ok = 0
-        exact_ok = 0
-        witness = None
+        below_top = k < cfg.n - 1
+        family, span, exact = _Tally(), _Tally(), _Tally()
         for t in range(trials):
             f = induce(random_collineation(space, rng.getrandbits(64)), k)
             base = random_base(space, rng.getrandbits(64))
             bs = BaseSubset(base, k)
-            try:
-                check_family_transport(f, base)
-                fam_ok += 1
-            except (MapCheckError, RecognitionError) as exc:
-                witness = witness or f"trial {t}: {exc}"
-            if k < cfg.n - 1:
-                try:
-                    check_span_transport(f, base)
-                    span_ok += 1
-                except (MapCheckError, RecognitionError) as exc:
-                    witness = witness or f"trial {t}: {exc}"
+            family.attempt(t, errors, check_family_transport, f, base)
+            if below_top:
+                span.attempt(t, errors, check_span_transport, f, base)
             collections = [members for _, members in maximal_inexact_families(bs)]
             collections.append(frozenset(rng.sample(bs.index_sets, max(2, len(bs) // 2))))
-            try:
-                check_exactness_transport(f, base, collections)
-                exact_ok += 1
-            except (MapCheckError, RecognitionError) as exc:
-                witness = witness or f"trial {t}: {exc}"
+            exact.attempt(t, errors, check_exactness_transport, f, base, collections)
         params = _params(cfg, k, trials=trials)
-        entries.append(_entry("family-transport", params, trials, fam_ok, witness))
-        if k < cfg.n - 1:
-            entries.append(_entry("span-transport", params, trials, span_ok, witness))
-        entries.append(_entry("exactness-transport", params, trials, exact_ok, witness))
-    return entries
+        yield _entry("family-transport", params, trials, family.passes, family.witness)
+        if below_top:
+            yield _entry("span-transport", params, trials, span.passes, span.witness)
+        yield _entry("exactness-transport", params, trials, exact.passes, exact.witness)
 
 
 @_suite(
@@ -601,32 +522,21 @@ def run_transport(space, cfg, trials, rng):
     trials=100,
 )
 def run_round_trip(space, cfg, trials, rng):
-    entries = []
     for k in _layers(cfg):
-        ok = 0
-        witness = None
+        inverted = _Tally()
         for t in range(trials):
             h = random_collineation(space, rng.getrandbits(64))
-            f = induce(h, k)
             try:
-                pm, certificate = reconstruct(f)
+                pm, certificate = reconstruct(induce(h, k))
             except ReconstructionError as exc:
-                witness = witness or f"trial {t}: {exc}"
+                inverted.fail(f"trial {t}: {exc}")
                 continue
             if pm == h and certificate["pass"]:
-                ok += 1
+                inverted.passes += 1
             else:
-                witness = witness or f"trial {t}: recovered table differs"
-        entries.append(
-            _entry(
-                "reconstruct-inverts-induce",
-                _params(cfg, k, trials=trials),
-                trials,
-                ok,
-                witness,
-            )
-        )
-    return entries
+                inverted.fail(f"trial {t}: recovered table differs")
+        params = _params(cfg, k, trials=trials)
+        yield _entry("reconstruct-inverts-induce", params, trials, inverted.passes, inverted.witness)
 
 
 def _corrupting_swap(f, bs_indices, outside, rng):
@@ -675,7 +585,6 @@ def _corrupting_swap(f, bs_indices, outside, rng):
     trials=5,
 )
 def run_negative_controls(space, cfg, trials, rng):
-    entries = []
     for k in _layers(cfg):
         g = grassmannian(space, k)
         inside = sorted(BaseSubset(SymplecticBase.standard(space), k).indices())
@@ -696,15 +605,12 @@ def run_negative_controls(space, cfg, trials, rng):
                     "adjacency_mismatches": [list(m[:3]) for m in mismatches],
                     "reconstruct_failing_checks": failing,
                 }
-        entries.append(
-            _entry(
-                "corruptions-rejected-three-ways",
-                _params(cfg, k, trials=trials, example=sample),
-                trials,
-                detected,
-            )
+        yield _entry(
+            "corruptions-rejected-three-ways",
+            _params(cfg, k, trials=trials, example=sample),
+            trials,
+            detected,
         )
-    return entries
 
 
 @_suite(
@@ -714,26 +620,15 @@ def run_negative_controls(space, cfg, trials, rng):
     grid=CLIQUE_GRID,
 )
 def run_cliques(space, cfg, trials, rng):
-    entries = []
     for k in _layers(cfg):
         cliques = set(maximal_adjacency_cliques(space, k))
-        stars = set(star_index_sets(space, k))
-        if k == 0 or k == cfg.n - 1:
-            expected = stars
-        else:
-            expected = stars | set(top_index_sets(space, k))
-        entries.append(_entry("clique-count", _params(cfg, k), len(expected), len(cliques)))
+        expected = set(star_index_sets(space, k))
+        if 0 < k < cfg.n - 1:
+            expected |= set(top_index_sets(space, k))
+        yield _entry("clique-count", _params(cfg, k), len(expected), len(cliques))
         diff = cliques ^ expected
-        entries.append(
-            _entry(
-                "cliques-identified",
-                _params(cfg, k),
-                0,
-                len(diff),
-                witness=[sorted(c) for c in list(diff)[:2]] or None,
-            )
-        )
-    return entries
+        witness = [sorted(c) for c in list(diff)[:2]] or None
+        yield _entry("cliques-identified", _params(cfg, k), 0, len(diff), witness)
 
 
 def _print_entries(entries):

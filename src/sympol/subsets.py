@@ -30,9 +30,10 @@ G_k indices, built once per BaseSubset: the span of k + 1 base points
 is the only member holding all of them, so its index is the one bit
 left in the AND of their through_masks rows.  member_mask, the oracle
 and every caller outside this module read members off it.
-BaseSubset.subspace row reduces the points instead; only the
-meet_at_subspace oracle and BaseSubset.members, which only the tests
-call, use it.
+BaseSubset.subspace row reduces the points instead and builds no
+layer.  certify_inexact compares spans through it, so it runs on any
+grid, however large G_k is; otherwise only the meet_at_subspace oracle
+and BaseSubset.members, which only the tests call, use it.
 """
 
 from functools import lru_cache
@@ -110,8 +111,9 @@ class BaseSubset:
         """The member spanned by the points at the given positions.
 
         Row reduces the points on every call.  This is the geometric
-        route, for the meet_at_subspace oracle and members; the G_k
-        index of a member comes from indices.
+        route, for certify_inexact, the meet_at_subspace oracle and
+        members, and it builds no Grassmannian layer; the G_k index of a
+        member comes from indices.
         """
         if index_set not in self._position:
             raise DimensionError(f"not a member index set: {sorted(index_set)}")
@@ -229,8 +231,10 @@ def certify_inexact(bs: BaseSubset, collection):
     i, j = witness
     other = perturb_pair(bs.base, i, j, 1)
     cover = BaseSubset(other, bs.k)
-    if member_mask(bs, collection) & ~member_mask(cover, cover.index_sets):
-        raise RuntimeError("witness base fails to cover the collection")
+    covered = {cover.subspace(t).rows for t in cover.index_sets}
+    for index_set in collection:
+        if bs.subspace(index_set).rows not in covered:
+            raise RuntimeError("witness base fails to cover the collection")
     return (i, j, other)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from sympol import cli
 from sympol.bases import PointMap, SymplecticBase
+from sympol.errors import MapCheckError
 from sympol.recon import hyperplane_table
 from sympol.serialize import atomic_write_json, encode_point_map
 from sympol.space import SymplecticSpace
@@ -231,6 +232,32 @@ def test_verify_reports_failures(run, tmp_path, monkeypatch):
     # the suite name and anchor are stamped from the registry
     assert report["entries"][0]["suite"] == "sizes"
     assert report["entries"][0]["anchor"] == "forced failure"
+
+
+def test_each_check_reports_its_own_first_witness(run, tmp_path, monkeypatch):
+    # span transport fails on its first call and family transport on its
+    # third; each FAIL entry must name its own check's failure
+    calls = {"span": 0, "family": 0}
+
+    def breaks_on(name, call):
+        def check(*args):
+            calls[name] += 1
+            if calls[name] == call:
+                raise MapCheckError(f"{name} broke")
+
+        return check
+
+    monkeypatch.setattr(cli, "check_span_transport", breaks_on("span", 1))
+    monkeypatch.setattr(cli, "check_family_transport", breaks_on("family", 3))
+    out = tmp_path / "r.json"
+    argv = ("--n", 3, "--p", 2, "--k", 1, "--suite", "transport", "--trials", 4, "--seed", "s")
+    assert run("verify", *argv, "--out", out) == 1
+    entries = {e["check"]: e for e in json.loads(read_bytes(out))["entries"]}
+    assert entries["family-transport"]["actual"] == 3
+    assert entries["family-transport"]["witness"] == "trial 2: family broke"
+    assert entries["span-transport"]["actual"] == 3
+    assert entries["span-transport"]["witness"] == "trial 0: span broke"
+    assert entries["exactness-transport"]["pass"] and "witness" not in entries["exactness-transport"]
 
 
 def test_random_collineation_deterministic(run, tmp_path):

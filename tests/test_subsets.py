@@ -7,12 +7,13 @@ from math import comb
 
 import pytest
 
-from sympol import subsets
+from sympol import grassmann, subsets
 from sympol.bases import (
     SymplecticBase,
     base_columns,
     enumerate_all_bases,
     is_symplectic_base,
+    perturb_pair,
     random_base,
 )
 from sympol.errors import DegenerateParameterError, DimensionError
@@ -199,6 +200,25 @@ def test_certify_inexact_rejects_a_base_that_fails_to_cover(monkeypatch):
     monkeypatch.setattr(subsets, "perturb_pair", lambda base, i, j, c: random_base(sp, "stranger"))
     with pytest.raises(RuntimeError, match="witness base fails to cover the collection"):
         certify_inexact(bs, collection)
+
+
+def test_certify_inexact_builds_no_layer(monkeypatch, tmp_path):
+    # coverage is compared span by span, so a certificate at (4, 3), where
+    # G_1 is too large to build in a test, needs no layer and no cache file
+    def refuse(*args):
+        raise AssertionError("certify_inexact built a Grassmannian layer")
+
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(grassmann, "_levelwise", refuse)
+    bs = BaseSubset(SymplecticBase.standard(SymplecticSpace.standard(4, 3)), 1)
+    collection = next(
+        members
+        for _, members in maximal_inexact_families(bs)
+        if inexactness_witness(bs, members) is not None
+    )
+    i, j, base = certify_inexact(bs, collection)
+    assert base == perturb_pair(bs.base, i, j, 1)
+    assert not any(tmp_path.iterdir())
 
 
 def test_pinning_implies_exact():
