@@ -5,7 +5,7 @@ space such that each point is non-orthogonal to exactly one other; the
 partner assignment sigma is a fixed-point-free involution of the index
 set.  Scaling representatives never changes the structure, so bases are
 compared by their sorted point tuples, which key() builds on each call.
-The bases from enumerate_all_bases share one sigma tuple.
+The bases formed from base_columns share the one standard_sigma tuple.
 
 Bases are generated three independent ways: directly from the standard
 coordinate frame, as images under random products of symplectic
@@ -13,9 +13,11 @@ transvections, and by exhaustive backtracking over point indices.  The
 backtracking count is cross-checked in the tests against the closed form
 |Sp(2n, p)| / ((p - 1)^n 2^n n!) and against a group-orbit sweep.  The
 backtracking walk, base_columns, records one compact column of point
-indices per base position; enumerate_all_bases builds its base objects
-from those columns, and the base-subset universe reads them directly,
-with no base object.
+indices per base position, and nothing else holds the bases:
+enumerate_all_bases returns a read-only sequence over those columns that
+forms each base object only when it is read, through base_from_row, and
+the base-subset universe and the exactness oracle read the columns
+directly, with no base object.
 
 A random product of transvections is never multiplied out: the rows
 e_1..e_2n are pushed through the seeded transvections one at a time,
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from functools import lru_cache
+from collections.abc import Sequence
+from functools import lru_cache, partial
 from itertools import combinations, repeat
 from math import factorial
 from operator import mul
@@ -91,7 +94,9 @@ class SymplecticBase:
         return f"SymplecticBase(space={self.space!r}, points={self.points})"
 
 
+@lru_cache(maxsize=None)
 def standard_sigma(n):
+    """i <-> n + i, as one tuple per n that every caller shares."""
     return tuple(range(n, 2 * n)) + tuple(range(n))
 
 
@@ -401,17 +406,52 @@ def base_columns(space: SymplecticSpace):
     return tuple(map(bytes, table(full, space.n)))
 
 
+def base_from_row(space: SymplecticSpace, row):
+    """The base whose position i is point row[i] of space.all_points().
+
+    row is one row of base_columns(space), the point index of each
+    position of one base; positions pair as in standard_sigma.
+    """
+    pts = space.all_points()
+    return SymplecticBase(space, tuple(map(pts.__getitem__, row)), standard_sigma(space.n))
+
+
+class _BaseSequence(Sequence):
+    """Every base of a space, in base_columns order, formed on each read.
+
+    Holds only the columns: base t is base_from_row of row t, so it
+    exists only while a caller holds it.  A slice is a tuple of bases.
+    """
+
+    __slots__ = ("space", "columns")
+
+    def __init__(self, space, columns):
+        self.space = space
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return tuple(map(self.__getitem__, range(*t.indices(len(self)))))
+        return base_from_row(self.space, [column[t] for column in self.columns])
+
+    def __iter__(self):
+        return map(partial(base_from_row, self.space), zip(*self.columns))
+
+
 @lru_cache(maxsize=None)
 def enumerate_all_bases(space: SymplecticSpace):
     """Every symplectic base exactly once, in base_columns order.
 
-    Base t takes position i from row t of column i.  The bases share
-    one sigma tuple.
+    A read-only sequence (len, indexing, slices, iteration) over the
+    columns, which this call walks: base t takes position i from row t
+    of column i, and is formed only when it is read.  No base object is
+    kept, so holding the enumeration costs no more than the columns;
+    every base shares the one standard_sigma tuple.
     """
-    columns = base_columns(space)
-    pts = space.all_points()
-    points = zip(*(map(pts.__getitem__, column) for column in columns))
-    return tuple(map(SymplecticBase, repeat(space), points, repeat(standard_sigma(space.n))))
+    return _BaseSequence(space, base_columns(space))
 
 
 def enumerate_bases_orbit(space: SymplecticSpace):

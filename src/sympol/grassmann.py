@@ -56,6 +56,7 @@ from __future__ import annotations
 import json
 import os
 from functools import lru_cache
+from itertools import chain
 
 from sympol import _kernels
 from sympol.errors import DimensionError, FeasibilityError, SchemaError
@@ -192,29 +193,46 @@ def _cache_path(cache_dir, space, k):
     return os.path.join(cache_dir, f"grassmannian-n{space.n}-p{space.p}-k{k}.json")
 
 
-def _is_canonical(rows, width, p):
-    """Whether rows are int entries in range(p) in reduced row echelon
-    form: canonical rows, equal to their own row reduction.  A bool,
-    float or string entry fails, as in serialize._is_int."""
+def _is_canonical(rows):
+    """Whether rows of int entries in range(p) are in reduced row echelon
+    form, read off their shape with no row reduction: each row's first
+    nonzero entry is a 1, these pivots' columns strictly increase, and
+    each pivot column is 0 in every other row.  A zero row has no pivot
+    and fails, so the rows that pass are exactly those equal to their own
+    row reduction; the tests keep _kernels.rref as that oracle.  Entries
+    are never negative, so a pivot column sums to 1 exactly when it is
+    clear outside its pivot."""
+    last = -1
     for row in rows:
-        if len(row) != width or not all(type(x) is int and 0 <= x < p for x in row):
+        if 1 not in row:
             return False
-    return _kernels.rref(rows, width, p) == rows
+        c = row.index(1)
+        if c <= last or any(row[:c]) or sum(r[c] for r in rows) != 1:
+            return False
+        last = c
+    return True
 
 
 def _valid_layer(space, k, members):
     """Whether cached members can be G_k: the closed-form count, each
     member k + 1 canonical rows of integers spanning a totally isotropic
-    subspace, and rows strictly increasing (hence distinct).  The order
-    is checked last, once every entry is known to be an int."""
-    if len(members) != grassmannian_size(space.n, space.p, k):
+    subspace, and rows strictly increasing (hence distinct).  Row widths,
+    entry types and entry ranges are checked first, each in one pass
+    over the whole layer, so a bool, float or string entry fails, as in
+    serialize._is_int, and the canonical form is then read off each
+    member's shape.  The order is checked last."""
+    p, d = space.p, space.dim
+    if len(members) != grassmannian_size(space.n, p, k):
         return False
-    if not all(
-        len(s.rows) == k + 1
-        and _is_canonical(s.rows, space.dim, space.p)
-        and space.is_totally_isotropic(s)
-        for s in members
-    ):
+    if {len(s.rows) for s in members} != {k + 1}:
+        return False
+    rows = list(chain.from_iterable(s.rows for s in members))
+    if set(map(len, rows)) != {d}:
+        return False
+    flat = list(chain.from_iterable(rows))
+    if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= p:
+        return False
+    if not all(_is_canonical(s.rows) and space.is_totally_isotropic(s) for s in members):
         return False
     return all(a.rows < b.rows for a, b in zip(members, members[1:]))
 

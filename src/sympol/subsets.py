@@ -20,10 +20,10 @@ memory the count holds at once.  The oracle reads the universe by
 member, through universe_columns, its transpose built on first use:
 covering_bases is one AND per member of the collection, and
 maximal_inexact_oracle splits the set of every base once per home
-member, so neither loops over the bases.  Neither builds the base
-objects of enumerate_all_bases either: covering_bases forms the at most
-two bases it returns from their rows of base_columns, so an exactness
-question makes no other base object.
+member, so neither loops over the bases.  Neither reads
+enumerate_all_bases either: covering_bases forms the at most two bases
+it returns by base_from_row, the helper behind that lazy sequence, so an
+exactness question makes no other base object.
 
 BaseSubset.indices is the one route from a base's index sets to their
 G_k indices, built once per BaseSubset: the span of k + 1 base points
@@ -41,7 +41,7 @@ from itertools import combinations, islice
 from math import comb
 from operator import and_, or_
 
-from sympol.bases import SymplecticBase, base_columns, perturb_pair, standard_sigma
+from sympol.bases import SymplecticBase, base_columns, base_from_row, perturb_pair
 from sympol.errors import DegenerateParameterError, DimensionError
 from sympol.grassmann import grassmannian_size, through_masks
 from sympol.linalg import (
@@ -508,8 +508,9 @@ def covering_bases(bs: BaseSubset, collection):
     entries masks every base whose subset covers it, and its two lowest
     bits name the first two.  The home base always qualifies, so a
     second one certifies that the collection is inexact.  Only the
-    returned bases are built, from their rows of base_columns, as
-    enumerate_all_bases builds them; no other base object is made.
+    returned bases are formed, by base_from_row from their rows of
+    base_columns, as enumerate_all_bases forms a base when it is read;
+    no other base object is made.
     """
     space = bs.base.space
     columns = base_columns(space)
@@ -517,10 +518,8 @@ def covering_bases(bs: BaseSubset, collection):
     hits = (1 << len(columns[0])) - 1
     for m in bits(member_mask(bs, collection)):
         hits &= covers[m]
-    pts, sigma = space.all_points(), standard_sigma(space.n)
     return tuple(
-        SymplecticBase(space, tuple(pts[column[b]] for column in columns), sigma)
-        for b in islice(bits(hits), 2)
+        base_from_row(space, [column[b] for column in columns]) for b in islice(bits(hits), 2)
     )
 
 

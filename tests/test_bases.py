@@ -1,6 +1,8 @@
 """Base recognition, perturbation and exhaustive enumeration."""
 
 import random
+import tracemalloc
+from itertools import repeat
 
 import pytest
 
@@ -9,6 +11,7 @@ from sympol.bases import (
     PointMap,
     SymplecticBase,
     _transvection_stream,
+    base_columns,
     base_key_pairs,
     enumerate_all_bases,
     enumerate_bases_orbit,
@@ -153,6 +156,58 @@ def test_enumeration_matches_group_order(n, p):
     sample = random.Random("enum").sample(bases, 25)
     for b in sample:
         assert recognize(space, b.points) == b.sigma
+
+
+def tuple_route_bases(space):
+    """Every base as one tuple of objects built from base_columns: the
+    enumeration before it became a lazy sequence (reference)."""
+    pts = space.all_points()
+    points = zip(*(map(pts.__getitem__, column) for column in base_columns(space)))
+    return tuple(map(SymplecticBase, repeat(space), points, repeat(standard_sigma(space.n))))
+
+
+def base_values(bases):
+    return [(b.points, b.sigma) for b in bases]
+
+
+@pytest.mark.parametrize("n,p", BASE_GRID)
+def test_enumeration_is_the_tuple_route_read_lazily(n, p):
+    space = SymplecticSpace.standard(n, p)
+    bases = enumerate_all_bases(space)
+    want = tuple_route_bases(space)
+    assert len(bases) == len(want)
+    assert base_values(bases) == base_values(want)
+    assert base_values([bases[-1], bases[0]]) == base_values([want[-1], want[0]])
+    middle = slice(len(want) // 3, len(want) // 2, 5)
+    assert type(bases[middle]) is tuple
+    assert base_values(bases[middle]) == base_values(want[middle])
+    assert base_values(bases[-3:]) == base_values(want[-3:])
+    with pytest.raises(IndexError):
+        bases[len(want)]
+    with pytest.raises(IndexError):
+        bases[-len(want) - 1]
+    drawn = random.Random("lazy").sample(bases, 10)
+    picks = random.Random("lazy").sample(range(len(want)), 10)
+    assert base_values(drawn) == base_values(want[t] for t in picks)
+    # every base, iterated or indexed, shares the one standard_sigma tuple
+    sigma = standard_sigma(n)
+    assert all(b.sigma is sigma for b in bases)
+    assert bases[7].sigma is sigma
+
+
+def test_enumeration_holds_no_base_objects():
+    # with the columns walked, the enumeration allocates only its view;
+    # a tuple of the 30,240 (3, 2) base objects takes about 4.4 MB
+    space = SymplecticSpace.standard(3, 2)
+    base_columns(space)
+    tracemalloc.start()
+    try:
+        bases = enumerate_all_bases.__wrapped__(space)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bases) == 30240
+    assert size < 64 * 1024
 
 
 def test_permuted_base_is_equal(small_space, rng):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import shutil
 from itertools import product
 
@@ -488,7 +489,7 @@ def _entry_as(value):
     return corrupt
 
 
-# the next six break the first member's canonical rows, or the layer's
+# the next eight break the first member's canonical rows, or the layer's
 # strictly increasing order, and nothing else the validator reads first
 
 
@@ -521,6 +522,16 @@ def _duplicate_member(sp, obj):
     obj["elements"][1] = obj["elements"][0]
 
 
+def _zero_row(sp, obj):
+    rows = obj["elements"][0]
+    rows[1] = [0] * len(rows[1])
+
+
+def _negative_entry(sp, obj):
+    row = obj["elements"][0][0]
+    row[row.index(0)] = -1
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -537,6 +548,8 @@ def _duplicate_member(sp, obj):
         _swapped_rows,
         _unsorted_layer,
         _duplicate_member,
+        _zero_row,
+        _negative_entry,
     ],
     ids=[
         "truncated",
@@ -552,6 +565,8 @@ def _duplicate_member(sp, obj):
         "swapped-rows",
         "unsorted-layer",
         "duplicate-member",
+        "zero-row",
+        "negative-entry",
     ],
 )
 def test_corrupt_disk_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
@@ -571,4 +586,26 @@ def test_corrupt_disk_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     loaded = grassmannian(sp, 1)
     assert [s.rows for s in loaded] == [s.rows for s in fresh]
     assert (bad_dir / name).read_bytes() == good
+
+
+def test_canonical_shape_matches_row_reduction():
+    # the validator reads canonical form off the rows' shape; rref is the
+    # oracle.  Most draws are reduced rows, some with one entry redrawn or
+    # a zero row inserted, so both answers come up often.
+    rng = random.Random("canonical-shape")
+    canonical = 0
+    for _ in range(20000):
+        p, width = rng.choice((2, 3, 5)), rng.randint(1, 6)
+        rows = [[rng.randrange(p) for _ in range(width)] for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.6:
+            rows = [list(r) for r in _kernels.rref(rows, width, p)] or rows
+            if rng.random() < 0.5:
+                rng.choice(rows)[rng.randrange(width)] = rng.randrange(p)
+            if rng.random() < 0.1:
+                rows.insert(rng.randrange(len(rows) + 1), [0] * width)
+        rows = tuple(map(tuple, rows))
+        want = _kernels.rref(rows, width, p) == rows
+        assert grassmann._is_canonical(rows) == want, (rows, p)
+        canonical += want
+    assert 5000 < canonical < 15000
 
