@@ -22,9 +22,10 @@ directly, with no base object.
 A random product of transvections is never multiplied out: the rows
 e_1..e_2n are pushed through the seeded transvections one at a time,
 random_base normalizes them, and random_collineation tabulates every
-point from them in one pass.  The matrix route, transvection_matrix
-multiplied out by mat_mul and tabulated by PointMap.from_matrix, stays
-as the tests' oracle for both.
+point from them in one pass, as the point index table PointMap holds.
+The matrix route, transvection_matrix multiplied out by mat_mul and
+tabulated by PointMap.from_matrix, stays as the tests' oracle for both;
+the orbit sweep tabulates each transvection the same way.
 """
 
 from __future__ import annotations
@@ -175,58 +176,58 @@ def perturb_pair(base: SymplecticBase, i: int, j: int, c: int) -> SymplecticBase
 
 
 class PointMap:
-    """An injective table from all points of one space to another.
+    """An injective map from all points of one space to another.
 
-    Spaces must share (n, p); two distinct space handles are still kept
-    so source and target frames stay separate.
+    to[i] is the target point index of source point i, both in
+    all_points() order, as in GrassmannianMap.table; table is the same
+    map as a dict of point vectors, built on each read.  Spaces share
+    (n, p), but both handles are kept so the frames stay separate.
     """
 
-    __slots__ = ("source", "target", "table")
+    __slots__ = ("source", "target", "to")
 
-    def __init__(self, source, target, table):
+    def __init__(self, source, target, to):
         if (source.n, source.p) != (target.n, target.p):
             raise SpaceMismatchError(
                 f"source (n={source.n}, p={source.p}) vs target (n={target.n}, p={target.p})"
             )
-        if set(table) != set(source.all_points()):
+        to = tuple(to)
+        if len(to) != len(source.all_points()):
             raise MapCheckError("table must cover every source point exactly once")
-        if len(set(table.values())) != len(table):
+        if len(set(to)) != len(to):
             raise MapCheckError("table is not injective")
-        tgt = set(target.all_points())
-        if not set(table.values()) <= tgt:
+        if not set(to) <= set(range(len(target.all_points()))):
             raise MapCheckError("table values must be target points")
         self.source = source
         self.target = target
-        self.table = dict(table)
+        self.to = to
 
     @classmethod
     def identity(cls, space) -> "PointMap":
-        return cls(space, space, {x: x for x in space.all_points()})
+        return cls(space, space, range(len(space.all_points())))
 
     @classmethod
     def from_matrix(cls, source, target, matrix) -> "PointMap":
         """Point map induced by an invertible matrix acting on rows."""
-        table = {}
-        for x in source.all_points():
-            y = mat_apply(x, matrix, source.p)
-            table[x] = normalize_point(y, source.p)
-        return cls(source, target, table)
+        index, p = target.point_index(), source.p
+        images = (normalize_point(mat_apply(x, matrix, p), p) for x in source.all_points())
+        return cls(source, target, map(index.__getitem__, images))
 
-    def apply(self, point):
-        return self.table[point]
+    @property
+    def table(self):
+        images = map(self.target.all_points().__getitem__, self.to)
+        return dict(zip(self.source.all_points(), images))
 
     def apply_base(self, base: SymplecticBase) -> SymplecticBase:
-        pts = [self.table[x] for x in base.points]
-        return SymplecticBase.from_points(self.target, pts)
+        return SymplecticBase.from_points(self.target, map(self.table.__getitem__, base.points))
 
     def compose(self, other: "PointMap") -> "PointMap":
         """self after other."""
-        return PointMap(other.source, self.target, {x: self.table[y] for x, y in other.table.items()})
+        return PointMap(other.source, self.target, [self.to[t] for t in other.to])
 
     def inverse(self) -> "PointMap":
-        if len(self.table) != len(self.target.all_points()):
-            raise MapCheckError("only bijective point maps invert")
-        return PointMap(self.target, self.source, {y: x for x, y in self.table.items()})
+        # index t of the inverse holds the i with to[i] = t
+        return PointMap(self.target, self.source, sorted(range(len(self.to)), key=self.to.__getitem__))
 
     def orthogonality_witness(self):
         """The first point pair on which orthogonality flips, or None.
@@ -238,12 +239,8 @@ class PointMap:
         flip relation is symmetric and never holds on the diagonal, so
         its earliest flip lies at some j > i.
         """
-        pts = self.source.all_points()
-        index = self.target.point_index()
-        to = [index[self.table[x]] for x in pts]
-        back = [0] * len(to)
-        for i, t in enumerate(to):
-            back[t] = i
+        pts, to = self.source.all_points(), self.to
+        back = sorted(range(len(to)), key=to.__getitem__)
         tgt_rows = self.target.ortho_masks()
         for i, row in enumerate(self.source.ortho_masks()):
             flips = image_mask(row, to) ^ tgt_rows[to[i]]
@@ -262,11 +259,11 @@ class PointMap:
             isinstance(other, PointMap)
             and self.source == other.source
             and self.target == other.target
-            and self.table == other.table
+            and self.to == other.to
         )
 
     def __repr__(self):
-        return f"PointMap({self.source!r} -> {self.target!r}, {len(self.table)} points)"
+        return f"PointMap({self.source!r} -> {self.target!r}, {len(self.to)} points)"
 
 
 def mat_apply(x, matrix, p):
@@ -328,14 +325,11 @@ def random_collineation(space: SymplecticSpace, seed) -> PointMap:
     order, are point_images of the pushed rows, one vector sum each
     with no matrix product: a point x whose leading 1 sits at position
     l is e_l + c t for an earlier point t, so x's image vector is row l
-    plus c times t's.  The matrix route (transvection_matrix, a mat_mul
-    chain and PointMap.from_matrix) gives the same table and is the
-    tests' oracle.
+    plus c times t's.
     """
-    p = space.p
+    p, index = space.p, space.point_index()
     images = point_images(_pushed_rows(space, seed), p)
-    table = {x: normalize_point(y, p) for x, y in zip(space.all_points(), images)}
-    return PointMap(space, space, table)
+    return PointMap(space, space, [index[normalize_point(y, p)] for y in images])
 
 
 def random_base(space: SymplecticSpace, seed) -> SymplecticBase:
@@ -461,14 +455,11 @@ def enumerate_bases_orbit(space: SymplecticSpace):
     the symplectic group, so the orbit is the full base set.
     """
     _require_enumerable(space)
-    pts = space.all_points()
-    index = space.point_index()
-    p = space.p
-    perms = []
-    for v in pts:
-        for c in range(1, p):
-            mat = transvection_matrix(space, v, c)
-            perms.append(tuple(index[normalize_point(mat_apply(x, mat, p), p)] for x in pts))
+    perms = [
+        PointMap.from_matrix(space, space, transvection_matrix(space, v, c)).to
+        for v in space.all_points()
+        for c in range(1, space.p)
+    ]
     start = base_key_pairs(space, SymplecticBase.standard(space))
     seen = {start}
     frontier = [start]

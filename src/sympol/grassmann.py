@@ -232,8 +232,18 @@ def _valid_layer(space, k, members):
     flat = list(chain.from_iterable(rows))
     if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= p:
         return False
-    if not all(_is_canonical(s.rows) and space.is_totally_isotropic(s) for s in members):
+    if not all(map(_is_canonical, (s.rows for s in members))):
         return False
+    # canonical rows are points, and they span a totally isotropic
+    # subspace when the AND of their ortho_masks rows holds them all
+    masks, index = space.ortho_masks(), space.point_index()
+    for s in members:
+        common, rows = -1, 0
+        for i in map(index.__getitem__, s.rows):
+            common &= masks[i]
+            rows |= 1 << i
+        if common & rows != rows:
+            return False
     return all(a.rows < b.rows for a, b in zip(members, members[1:]))
 
 

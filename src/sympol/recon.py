@@ -9,8 +9,8 @@ resulting point map with a machine-checkable report.
 descend and induce do no row reduction per map: the meet of a star's
 images is the AND of their hyper_masks rows, and the member spanned by
 a member's image points is the AND of their through_masks rows, each
-accepted only when exactly one bit is left.  induce reads the map once
-per call as a list of image point indices, and each member's points off
+accepted only when exactly one bit is left.  induce reads the image
+point indices off the point table h.to, and each member's points off
 member_points, built once per (space, k), so it enumerates no member's
 points per map.  check_top_transport, the check on each descent step,
 reads each source member's hyperplanes off hyperplane_table, which
@@ -18,8 +18,10 @@ lists them geometrically with hyperplanes_of once per (space, k): the
 coordinate hyperplanes of GF(p)^m, named by point indices, read off the
 member's points(), with no sort or row reduction per member.  It reads
 the containment of each hyperplane's image off the image member's
-hyper_masks row.  The final orthogonality check compares ortho_masks
-rows through the point table (PointMap.orthogonality_witness).
+hyper_masks row.  reconstruct's point table is the G_0 map's table,
+since G_0 lists the points in all_points() order, and the final
+orthogonality check compares ortho_masks rows through it
+(PointMap.orthogonality_witness).
 
 Base subsets are named by G_k index alone.  BaseSubset.indices gives
 the G_k index of each member of a base's layer subset, so image_base
@@ -33,7 +35,7 @@ from pairwise Subspace.intersect of the layer's elements.
 from functools import lru_cache
 from itertools import combinations
 
-from sympol.bases import PointMap, SymplecticBase
+from sympol.bases import PointMap, SymplecticBase, recognize
 from sympol.errors import (
     DescentError,
     DimensionError,
@@ -62,7 +64,6 @@ from sympol.subsets import (
     maximal_inexact_families,
     type1_members,
 )
-from sympol.bases import recognize
 
 
 class GrassmannianMap:
@@ -113,20 +114,18 @@ class GrassmannianMap:
 def induce(h: PointMap, k) -> GrassmannianMap:
     """Layer map sending each member to the span of its points' images.
 
-    The images are read once per call as target point indices, from
-    h.apply over the source points, and each member's points come from
-    member_points, so no member is enumerated per map.  Bit m of the AND
-    of the through_masks rows of the image points is set exactly when
-    member m holds them all.  A totally isotropic span of pdim k is the
-    one such member; a smaller one lies in at least p + 1, and a larger
-    or non-isotropic one in none, so any count other than one means the
-    image left the layer.
+    The images are the target point indices in h.to, and each member's
+    points come from member_points, so no member is enumerated and no
+    point is looked up per map.  Bit m of the AND of the through_masks
+    rows of the image points is set exactly when member m holds them
+    all.  A totally isotropic span of pdim k is the one such member; a
+    smaller one lies in at least p + 1, and a larger or non-isotropic
+    one in none, so any count other than one means the image left the
+    layer.
     """
     source = grassmannian(h.source, k)
     target = grassmannian(h.target, k)
-    index = h.target.point_index()
-    to = [index[h.apply(pt)] for pt in h.source.all_points()]
-    through = through_masks(h.target, k)
+    to, through = h.to, through_masks(h.target, k)
     table = []
     for s, row in zip(source.elements, member_points(h.source, k)):
         mask = -1
@@ -447,17 +446,13 @@ def reconstruct(f: GrassmannianMap):
             fail(level, "base-subsets-preserved", exc)
         passed(level, "base-subsets-preserved", 1)
         g = lower
-    table = {
-        s.rows[0]: g.target.elements[g.table[i]].rows[0]
-        for i, s in enumerate(g.source.elements)
-    }
     try:
-        h = PointMap(space, f.target.space, table)
+        h = PointMap(space, f.target.space, g.table)
     except MapCheckError as exc:
         fail(0, "point-table", exc)
     if not h.preserves_orthogonality():
         fail(0, "orthogonality-both-ways", MapCheckError(f"pair {h.orthogonality_witness()}"))
-    passed(0, "orthogonality-both-ways", len(table) * (len(table) - 1) // 2)
+    passed(0, "orthogonality-both-ways", len(h.to) * (len(h.to) - 1) // 2)
     try:
         h.apply_base(base)
     except RecognitionError as exc:

@@ -96,15 +96,17 @@ def _parse_map_space(obj, where) -> SymplecticSpace:
 
 
 def encode_point_map(h):
-    pairs = sorted((list(x), list(y)) for x, y in h.table.items())
     return {
         "space": h.source.header(),
         "target_space": h.target.header(),
-        "pairs": [[list(a), list(b)] for (a, b) in pairs],
+        "pairs": [[list(a), list(b)] for a, b in h.table.items()],
     }
 
 
 def decode_point_map(obj):
+    """Outside vectors become point indices here.  A source set other
+    than the points becomes an empty table, and an image that is not a
+    target point stays a vector, so PointMap refuses each in its order."""
     from sympol.bases import PointMap
 
     source = _parse_map_space(_need(obj, "space", dict, "point map"), "point map.space")
@@ -120,7 +122,9 @@ def decode_point_map(obj):
         if tuple(a) in table:
             raise SchemaError(f"point map: duplicate pair for source point {a}")
         table[tuple(a)] = tuple(b)
-    return PointMap(source, target, table)
+    index, pts = target.point_index(), source.all_points()
+    to = [index.get(y, y) for y in map(table.get, pts)] if table.keys() == set(pts) else ()
+    return PointMap(source, target, to)
 
 
 def encode_grassmannian_map(f):

@@ -138,7 +138,7 @@ def test_pushed_rows_match_the_matrix_route(n, p):
     for seed in ROUTE_SEEDS:
         want = matrix_route(sp, seed)
         got = random_collineation(sp, seed)
-        assert list(got.table.items()) == list(want.table.items())
+        assert got.to == want.to
         image = want.apply_base(standard)
         base = random_base(sp, seed)
         assert (base.points, base.sigma) == (image.points, image.sigma)
@@ -264,25 +264,27 @@ def test_enumeration_feasibility_gate(monkeypatch, tmp_path):
 
 def test_point_map_validation(small_space):
     sp = small_space
-    pts = sp.all_points()
-    table = {x: x for x in pts}
-    del table[pts[0]]
+    to = list(range(len(sp.all_points())))
+    del to[0]
     with pytest.raises(MapCheckError, match="cover"):
-        PointMap(sp, sp, table)
-    table[pts[0]] = pts[1]
+        PointMap(sp, sp, to)
+    to.insert(0, 1)
     with pytest.raises(MapCheckError, match="injective"):
-        PointMap(sp, sp, table)
+        PointMap(sp, sp, to)
+    to[0] = len(to)
+    with pytest.raises(MapCheckError, match="target points"):
+        PointMap(sp, sp, to)
 
 
 def test_swapped_pair_breaks_orthogonality(small_space):
     # exchanging e_1 with its partner f_1 flips omega against e_2
     sp = small_space
-    pts = sp.all_points()
+    index = sp.point_index()
     base = SymplecticBase.standard(sp)
-    a, b = base.points[0], base.points[sp.n]
-    table = {x: x for x in pts}
-    table[a], table[b] = b, a
-    assert not PointMap(sp, sp, table).preserves_orthogonality()
+    a, b = index[base.points[0]], index[base.points[sp.n]]
+    to = list(range(len(index)))
+    to[a], to[b] = to[b], to[a]
+    assert not PointMap(sp, sp, to).preserves_orthogonality()
 
 
 def test_base_images_under_collineations(small_space):

@@ -352,11 +352,12 @@ def test_induce_rejects_repeated_source_point(run, tmp_path, capsys):
 def test_induce_rejects_non_symplectic_map(run, tmp_path, capsys):
     sp = SymplecticSpace.standard(2, 2)
     base = SymplecticBase.standard(sp)
-    table = {x: x for x in sp.all_points()}
-    a, b = base.points[0], base.points[2]
-    table[a], table[b] = b, a
+    index = sp.point_index()
+    to = list(range(len(index)))
+    a, b = index[base.points[0]], index[base.points[2]]
+    to[a], to[b] = to[b], to[a]
     bad = tmp_path / "bad.json"
-    atomic_write_json(bad, encode_point_map(PointMap(sp, sp, table)))
+    atomic_write_json(bad, encode_point_map(PointMap(sp, sp, to)))
     assert run("induce", "--map", bad, "--k", 1, "--out", tmp_path / "f.json") == 1
     assert "orthogonality" in capsys.readouterr().err
 

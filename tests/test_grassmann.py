@@ -195,10 +195,26 @@ def test_full_points_match_vector_scan(p, m):
     assert Subspace.full(p, m).points() == _points_by_scan(Subspace.full(p, m))
 
 
+# reconstruct reads a G_0 index as a point index, so G_0 lists the points
+# in all_points() order, whether it was built or loaded back from disk
 def test_point_layer_matches_space(small_space):
     g = grassmannian(small_space, 0)
-    pts = {s.rows[0] for s in g}
-    assert pts == set(small_space.all_points())
+    assert [s.rows[0] for s in g] == list(small_space.all_points())
+
+
+@pytest.mark.parametrize("n,p", ENUM_GRID, ids=[f"n{n}p{p}" for n, p in ENUM_GRID])
+def test_loaded_point_layer_matches_space(tmp_path, monkeypatch, n, p):
+    sp = SymplecticSpace.standard(n, p)
+    built, loaded = tmp_path / "built", tmp_path / "loaded"
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(built))
+    grassmannian(sp, 0)
+    shutil.copytree(built, loaded)
+    path = loaded / f"grassmannian-n{n}-p{p}-k0.json"
+    inode = path.stat().st_ino
+    monkeypatch.setenv("SYMPOL_CACHE_DIR", str(loaded))
+    g = grassmannian(sp, 0)
+    assert path.stat().st_ino == inode
+    assert [s.rows[0] for s in g] == list(sp.all_points())
 
 
 def test_adjacency_is_symmetric_and_irreflexive(small_space):

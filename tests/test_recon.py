@@ -52,11 +52,12 @@ def compose_tables(outer, inner):
 
 def swapped_point_map(sp):
     """The identity with the standard base's first hyperbolic pair swapped."""
-    table = {x: x for x in sp.all_points()}
+    index = sp.point_index()
     base = SymplecticBase.standard(sp)
-    a, b = base.points[0], base.points[sp.n]
-    table[a], table[b] = b, a
-    return PointMap(sp, sp, table)
+    a, b = index[base.points[0]], index[base.points[sp.n]]
+    to = list(range(len(index)))
+    to[a], to[b] = to[b], to[a]
+    return PointMap(sp, sp, to)
 
 
 class CollapsedPointMap:
@@ -69,19 +70,18 @@ class CollapsedPointMap:
 
     def __init__(self, space, point):
         self.source = self.target = space
-        self.point = point
-
-    def apply(self, pt):
-        return self.point
+        self.to = [space.point_index()[point]] * len(space.all_points())
+        self.table = dict.fromkeys(space.all_points(), point)
 
 
 def induce_reference(h, k):
     """induce through Subspace.span and index_of."""
     source = grassmannian(h.source, k)
     target = grassmannian(h.target, k)
+    images = h.table
     table = []
     for s in source.elements:
-        img = Subspace.span(h.target.p, h.target.dim, [h.apply(pt) for pt in s.points()])
+        img = Subspace.span(h.target.p, h.target.dim, [images[pt] for pt in s.points()])
         j = target.index_of(img)
         if j is None:
             raise MapCheckError("induced image left the layer", witness=s)
@@ -276,7 +276,7 @@ def test_type1_position_map_tracks_points(small_space):
         pi = type1_position_map(f, base)
         other = image_base(f, base)
         for i in range(sp.dim):
-            assert other.points[pi[i]] == h.apply(base.points[i])
+            assert other.points[pi[i]] == h.table[base.points[i]]
     with pytest.raises(DimensionError):
         type1_position_map(induce(h, sp.n - 1), base)
 
@@ -456,23 +456,23 @@ def test_orthogonality_witness(n, p):
     h = random_collineation(sp, 2)
     assert h.orthogonality_witness() is None
     assert orthogonality_witness_reference(h) is None
-    pts = sp.all_points()
+    index = sp.point_index()
     base = SymplecticBase.standard(sp)
-    size = len(pts)
+    size = len(index)
     swaps = (
-        (pts[0], pts[1]),
-        (pts[size // 3], pts[2 * size // 3]),
-        (pts[-2], pts[-1]),
-        (base.points[0], base.points[sp.n]),
+        (0, 1),
+        (size // 3, 2 * size // 3),
+        (-2, -1),
+        (index[base.points[0]], index[base.points[sp.n]]),
     )
     maps = []
     for a, b in swaps:
-        table = {x: x for x in pts}
-        table[a], table[b] = b, a
-        maps.append(PointMap(sp, SymplecticSpace(n, p), table))
-    table = dict(h.table)
-    table[pts[5]], table[pts[-7]] = table[pts[-7]], table[pts[5]]
-    maps.append(PointMap(sp, sp, table))
+        to = list(range(size))
+        to[a], to[b] = to[b], to[a]
+        maps.append(PointMap(sp, SymplecticSpace(n, p), to))
+    to = list(h.to)
+    to[5], to[-7] = to[-7], to[5]
+    maps.append(PointMap(sp, sp, to))
     for bad in maps:
         want = orthogonality_witness_reference(bad)
         assert want is not None

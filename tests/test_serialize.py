@@ -6,7 +6,7 @@ import stat
 import pytest
 
 from sympol.bases import random_collineation
-from sympol.errors import SchemaError
+from sympol.errors import MapCheckError, SchemaError
 from sympol.recon import induce
 from sympol.serialize import (
     atomic_write_json,
@@ -101,14 +101,33 @@ def test_grassmannian_map_round_trip(small_space):
         (lambda o: o["source"].update(k=True), "field 'k' has wrong type"),
         (lambda o: o.pop("source"), "missing field"),
         (lambda o: o["target"].update(n=4, p=3), "outside the supported grid"),
+        # the point map's first source (0, 0, 0, 1) written unreduced mod 2
+        (lambda o: o["pairs"][0][0].__setitem__(-1, 3), "table must cover every source point"),
+        (lambda o: o["pairs"][0].__setitem__(1, o["pairs"][1][1]), "table is not injective"),
+        # two images that are no target points, the zero vector written two
+        # ways, are refused as such, not as sharing an image
+        (
+            lambda o: [o["pairs"][i].__setitem__(1, [0, 0, 0, 2 * i]) for i in (0, 1)],
+            "table values must be target points",
+        ),
     ],
 )
 def test_grassmannian_map_schema_rejection(mangle, message):
+    # A (2, 2) collineation's point map and its k = 1 layer map share no
+    # field, so one document holds both and each mangle breaks one of
+    # them.  A broken layer map is a SchemaError; a point map whose
+    # vectors are well formed but name no valid index table is refused
+    # by PointMap with a MapCheckError.
     sp = SymplecticSpace.standard(2, 2)
-    obj = encode_grassmannian_map(induce(random_collineation(sp, 1), 1))
+    h = random_collineation(sp, 1)
+    obj = encode_grassmannian_map(induce(h, 1)) | encode_point_map(h)
     mangle(obj)
-    with pytest.raises(SchemaError, match=message):
-        decode_grassmannian_map(obj)
+    if all(obj[key] == value for key, value in encode_point_map(h).items()):
+        decode, error = decode_grassmannian_map, SchemaError
+    else:
+        decode, error = decode_point_map, MapCheckError
+    with pytest.raises(error, match=message):
+        decode(obj)
 
 
 def test_report_csv_shape(tmp_path):
