@@ -219,7 +219,9 @@ class PointMap:
         return dict(zip(self.source.all_points(), images))
 
     def apply_base(self, base: SymplecticBase) -> SymplecticBase:
-        return SymplecticBase.from_points(self.target, map(self.table.__getitem__, base.points))
+        index, pts = self.source.point_index(), self.target.all_points()
+        images = (pts[self.to[index[x]]] for x in base.points)
+        return SymplecticBase.from_points(self.target, images)
 
     def compose(self, other: "PointMap") -> "PointMap":
         """self after other."""

@@ -20,8 +20,6 @@ report), 2 means the request itself was unusable or infeasible.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import random
 import sys
@@ -59,12 +57,12 @@ from sympol.recon import (
 )
 from sympol.serialize import (
     atomic_write_json,
-    atomic_write_text,
     decode_grassmannian_map,
     decode_point_map,
     encode_grassmannian_map,
     encode_point_map,
     load_json,
+    write_csv,
     write_report_csv,
 )
 from sympol.space import BASE_GRID, CLIQUE_GRID, ENUM_GRID, SymplecticSpace, image_mask
@@ -656,21 +654,19 @@ def cmd_enumerate(cfg):
         return _usage(f"k must lie in 0..{cfg.n - 1}")
     space = SymplecticSpace(cfg.n, cfg.p)
     cache = default_cache_dir()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "p", "k", "count", "closed_form"])
+    rows = [["n", "p", "k", "count", "closed_form"]]
     status = 0
     lines = []
     for k in _layers(cfg):
         g = grassmannian(space, k)
         formula = grassmannian_size(cfg.n, cfg.p, k)
-        writer.writerow([cfg.n, cfg.p, k, len(g), formula])
+        rows.append([cfg.n, cfg.p, k, len(g), formula])
         marker = "" if len(g) == formula else "  MISMATCH"
         if len(g) != formula:
             status = 1
         lines.append(f"G_{k}(n={cfg.n}, p={cfg.p}): {len(g)} elements (closed form {formula}){marker}")
     out = cfg.out or os.path.join(cache, f"counts-n{cfg.n}-p{cfg.p}.csv")
-    atomic_write_text(out, buf.getvalue())
+    write_csv(out, rows)
     lines.append(f"counts written to {out}; caches under {cache}")
     # printed only once every file is written, so a failed write prints nothing
     print("\n".join(lines))
@@ -729,7 +725,7 @@ def cmd_verify(cfg):
 def cmd_induce(cfg):
     try:
         h = decode_point_map(load_json(cfg.map))
-    except (SchemaError, MapCheckError, SpaceMismatchError, RecognitionError) as exc:
+    except (SchemaError, MapCheckError, SpaceMismatchError) as exc:
         return _usage(str(exc))
     if not 0 <= cfg.k < h.source.n:
         return _usage(f"k must lie in 0..{h.source.n - 1}")

@@ -16,8 +16,8 @@ space's orthogonality masks, and one span of the complement of s in it.
 The lower layer is sorted and each s's points come in the global
 order, so the new layer comes out sorted.  Each layer is cached on disk
 keyed by (n, p, k), as one compact JSON line: a cold build of G_0..G_2
-at (3, 3), files written, took 0.10-0.16 s in process on a 2-core host,
-against 0.05-0.08 s for a validated load of the same files.  The one
+at (3, 3), files written, took 0.13-0.14 s in process on a 2-core host,
+against 0.04-0.05 s for a validated load of the same files.  The one
 setting for the cache location is the SYMPOL_CACHE_DIR environment
 variable, read by default_cache_dir() and falling back to
 ~/.cache/sympol.  A cached layer whose file format, header or structure
@@ -56,7 +56,6 @@ from __future__ import annotations
 import json
 import os
 from functools import lru_cache
-from itertools import chain
 
 from sympol import _kernels
 from sympol.errors import DimensionError, FeasibilityError, SchemaError
@@ -193,53 +192,44 @@ def _cache_path(cache_dir, space, k):
     return os.path.join(cache_dir, f"grassmannian-n{space.n}-p{space.p}-k{k}.json")
 
 
-def _is_canonical(rows):
-    """Whether rows of int entries in range(p) are in reduced row echelon
-    form, read off their shape with no row reduction: each row's first
-    nonzero entry is a 1, these pivots' columns strictly increase, and
-    each pivot column is 0 in every other row.  A zero row has no pivot
-    and fails, so the rows that pass are exactly those equal to their own
-    row reduction; the tests keep _kernels.rref as that oracle.  Entries
-    are never negative, so a pivot column sums to 1 exactly when it is
-    clear outside its pivot."""
-    last = -1
-    for row in rows:
-        if 1 not in row:
-            return False
+def _canonical_indices(index, rows):
+    """The point indices of rows of ints in reduced row echelon form, else
+    None.  The keys of index, the space's point_index(), are exactly the
+    normalized points, so one lookup checks a row's width, entry range,
+    non-zero-ness and leading 1.  Such rows are canonical exactly when
+    their leads strictly increase and each row is 0 at every later row's
+    lead; it is 0 at every earlier lead, being 0 before its own.  The
+    tests keep _kernels.rref as the oracle."""
+    found, last = [], -1
+    for i, row in enumerate(rows):
+        j = index.get(row)
+        if j is None:
+            return None
         c = row.index(1)
-        if c <= last or any(row[:c]) or sum(r[c] for r in rows) != 1:
-            return False
+        if c <= last or any(r[c] for r in rows[:i]):
+            return None
+        found.append(j)
         last = c
-    return True
+    return found
 
 
 def _valid_layer(space, k, members):
-    """Whether cached members can be G_k: the closed-form count, each
-    member k + 1 canonical rows of integers spanning a totally isotropic
-    subspace, and rows strictly increasing (hence distinct).  Row widths,
-    entry types and entry ranges are checked first, each in one pass
-    over the whole layer, so a bool, float or string entry fails, as in
-    serialize._is_int, and the canonical form is then read off each
-    member's shape.  The order is checked last."""
-    p, d = space.p, space.dim
-    if len(members) != grassmannian_size(space.n, p, k):
+    """Whether cached members can be G_k: the closed-form count, int
+    entries (True and 1.0 hash and compare like 1 in the point index),
+    each member k + 1 canonical rows spanning a totally isotropic
+    subspace (the AND of its points' ortho_masks rows holds them all),
+    and rows strictly increasing (hence distinct), checked last."""
+    if len(members) != grassmannian_size(space.n, space.p, k):
         return False
-    if {len(s.rows) for s in members} != {k + 1}:
+    if {type(x) for s in members for row in s.rows for x in row} != {int}:
         return False
-    rows = list(chain.from_iterable(s.rows for s in members))
-    if set(map(len, rows)) != {d}:
-        return False
-    flat = list(chain.from_iterable(rows))
-    if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= p:
-        return False
-    if not all(map(_is_canonical, (s.rows for s in members))):
-        return False
-    # canonical rows are points, and they span a totally isotropic
-    # subspace when the AND of their ortho_masks rows holds them all
     masks, index = space.ortho_masks(), space.point_index()
     for s in members:
+        found = _canonical_indices(index, s.rows)
+        if found is None or len(found) != k + 1:
+            return False
         common, rows = -1, 0
-        for i in map(index.__getitem__, s.rows):
+        for i in found:
             common &= masks[i]
             rows |= 1 << i
         if common & rows != rows:

@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 
-from sympol.errors import FeasibilityError, SchemaError
+from sympol.errors import DimensionError, FeasibilityError, SchemaError, SpaceMismatchError
 from sympol.space import ENUM_GRID, SymplecticSpace
 
 
@@ -138,46 +138,56 @@ def encode_grassmannian_map(f):
 
 
 def decode_grassmannian_map(obj):
-    from sympol.grassmann import grassmannian
+    """The layer map a document names.  Its headers must name one layer,
+    with k in 0..n - 1, and its table must fit that layer's closed-form
+    size; only then is G_k built or loaded."""
+    from sympol.grassmann import grassmannian, grassmannian_size
     from sympol.recon import GrassmannianMap
 
     src_obj = _need(obj, "source", dict, "map")
     tgt_obj = _need(obj, "target", dict, "map")
-    src_space = _parse_map_space(src_obj, "map.source")
+    space = _parse_map_space(src_obj, "map.source")
     tgt_space = _parse_map_space(tgt_obj, "map.target")
-    source = grassmannian(src_space, _need(src_obj, "k", int, "map"))
-    target = grassmannian(tgt_space, _need(tgt_obj, "k", int, "map"))
-    entries = _need(obj, "table", list, "map")
-    table = [None] * len(source)
-    seen = 0
-    for entry in entries:
+    if space != tgt_space:
+        raise SpaceMismatchError(f"map: source {space!r} vs target {tgt_space!r}")
+    k, tgt_k = _need(src_obj, "k", int, "map"), _need(tgt_obj, "k", int, "map")
+    if k != tgt_k or not 0 <= k < space.n:
+        raise DimensionError(f"map: source k={k} and target k={tgt_k} must be one k in 0..{space.n - 1}")
+    size = grassmannian_size(space.n, space.p, k)
+    table = [None] * size
+    for entry in _need(obj, "table", list, "map"):
         if not isinstance(entry, list) or len(entry) != 2:
             raise SchemaError("map: table entries must be [i, j] pairs")
         i, j = entry
         if not (_is_int(i) and _is_int(j)):
             raise SchemaError("map: table entries must be integer pairs")
-        if not (0 <= i < len(source) and 0 <= j < len(target)):
+        if not (0 <= i < size and 0 <= j < size):
             raise SchemaError("map: table index out of range")
         if table[i] is not None:
             raise SchemaError(f"map: duplicate table entry for {i}")
         table[i] = j
-        seen += 1
-    if seen != len(source):
-        raise SchemaError(f"map: table must cover all {len(source)} source elements")
-    return GrassmannianMap(source, target, tuple(table))
+    if None in table:
+        raise SchemaError(f"map: table must cover all {size} source elements")
+    return GrassmannianMap(grassmannian(space, k), grassmannian(tgt_space, k), tuple(table))
 
 
-def write_report_csv(path, entries):
-    """Flat CSV summary of verification report entries."""
+def write_csv(path, rows):
+    """Write rows, the header first, as CSV through atomic_write_text."""
+    # imported here, so a process that writes no CSV never loads csv
     import csv
     import io
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["suite", "check", "n", "p", "k", "expected", "actual", "pass"])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    atomic_write_text(path, buf.getvalue())
+
+
+def write_report_csv(path, entries):
+    """Flat CSV summary of verification report entries."""
+    rows = [["suite", "check", "n", "p", "k", "expected", "actual", "pass"]]
     for e in entries:
         params = e.get("params", {})
-        writer.writerow(
+        rows.append(
             [
                 e.get("suite", ""),
                 e.get("check", ""),
@@ -189,4 +199,4 @@ def write_report_csv(path, entries):
                 "skip" if e.get("skipped") else e.get("pass"),
             ]
         )
-    atomic_write_text(path, buf.getvalue())
+    write_csv(path, rows)

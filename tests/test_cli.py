@@ -427,6 +427,46 @@ def test_induce_and_reconstruct_reject_headers_outside_enum_grid(run, tmp_path, 
     assert not any((tmp_path / name).exists() for name in ("g.json", "b.json", "c.json", "cache"))
 
 
+def _wrong_target_space(obj):
+    obj["target"].update(p=3)
+
+
+def _wrong_target_k(obj):
+    obj["target"]["k"] = 0
+
+
+def _k_out_of_range(obj):
+    obj["source"]["k"] = obj["target"]["k"] = 2
+
+
+def _entry_out_of_range(obj):
+    obj["table"][0] = [0, len(obj["table"])]
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [_wrong_target_space, _wrong_target_k, _k_out_of_range, _entry_out_of_range],
+    ids=["target-space", "target-k", "k-out-of-range", "entry-out-of-range"],
+)
+def test_reconstruct_refuses_a_map_naming_no_single_layer_before_building(
+    run, tmp_path, capsys, mangle
+):
+    # the identity map on the 15 lines of (2, 2), broken in one place
+    header = {"n": 2, "p": 2, "form": "standard", "k": 1}
+    obj = {"source": dict(header), "target": dict(header), "table": [[i, i] for i in range(15)]}
+    mangle(obj)
+    layer_map = tmp_path / "f.json"
+    atomic_write_json(layer_map, obj)
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    args = ("--out", tmp_path / "b.json", "--certificate", tmp_path / "c.json", "--cache", fresh)
+    assert run("reconstruct", "--map", layer_map, *args) == 2
+    assert not any(fresh.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("error: map") and err.count("\n") == 1
+    assert not any((tmp_path / name).exists() for name in ("b.json", "c.json", "cache"))
+
+
 # SHA-256 digests of the `reconstruct` embedding and certificate for
 # `random-collineation --seed s7` -> `induce` -> `reconstruct`, and of the
 # failing certificate for the same layer map with the images of its first

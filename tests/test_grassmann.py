@@ -548,6 +548,11 @@ def _negative_entry(sp, obj):
     row[row.index(0)] = -1
 
 
+def _short_member(sp, obj):
+    # one canonical, isotropic row: a point, still sorted before member 1
+    obj["elements"][0].pop()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -566,6 +571,7 @@ def _negative_entry(sp, obj):
         _duplicate_member,
         _zero_row,
         _negative_entry,
+        _short_member,
     ],
     ids=[
         "truncated",
@@ -583,6 +589,7 @@ def _negative_entry(sp, obj):
         "duplicate-member",
         "zero-row",
         "negative-entry",
+        "short-member",
     ],
 )
 def test_corrupt_disk_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
@@ -605,13 +612,15 @@ def test_corrupt_disk_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
 
 
 def test_canonical_shape_matches_row_reduction():
-    # the validator reads canonical form off the rows' shape; rref is the
-    # oracle.  Most draws are reduced rows, some with one entry redrawn or
-    # a zero row inserted, so both answers come up often.
+    # the validator reads canonical form off point-index lookups and the
+    # rows' leads; rref is the oracle.  Widths are the ambient widths of
+    # real spaces.  Most draws are reduced rows, some with one entry
+    # redrawn or a zero row inserted, so both answers come up often.
     rng = random.Random("canonical-shape")
     canonical = 0
     for _ in range(20000):
-        p, width = rng.choice((2, 3, 5)), rng.randint(1, 6)
+        p, width = rng.choice((2, 3, 5)), rng.choice((4, 6))
+        index = SymplecticSpace.standard(width // 2, p).point_index()
         rows = [[rng.randrange(p) for _ in range(width)] for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.6:
             rows = [list(r) for r in _kernels.rref(rows, width, p)] or rows
@@ -621,7 +630,8 @@ def test_canonical_shape_matches_row_reduction():
                 rows.insert(rng.randrange(len(rows) + 1), [0] * width)
         rows = tuple(map(tuple, rows))
         want = _kernels.rref(rows, width, p) == rows
-        assert grassmann._is_canonical(rows) == want, (rows, p)
+        found = grassmann._canonical_indices(index, rows)
+        assert found == ([index[r] for r in rows] if want else None), (rows, p)
         canonical += want
     assert 5000 < canonical < 15000
 
