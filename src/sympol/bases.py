@@ -36,7 +36,7 @@ from collections.abc import Sequence
 from functools import lru_cache, partial
 from itertools import combinations, repeat
 from math import factorial
-from operator import mul
+from operator import itemgetter, mul
 
 from sympol import _kernels
 from sympol.errors import (
@@ -48,7 +48,7 @@ from sympol.errors import (
     SpaceMismatchError,
 )
 from sympol.linalg import normalize_point, point_images, vec_add, vec_scale
-from sympol.space import BASE_GRID, SymplecticSpace, bits, image_mask
+from sympol.space import BASE_GRID, SymplecticSpace, bits
 
 
 class SymplecticBase:
@@ -235,21 +235,25 @@ class PointMap:
         """The first point pair on which orthogonality flips, or None.
 
         Pairs (x, y) are ordered by the source point indices i < j of x
-        and y.  Row i of the source ortho_masks, carried through the
-        point table, is compared with the target row of x's image; the
-        first row that differs holds the first flipping pair, because the
-        flip relation is symmetric and never holds on the diagonal, so
-        its earliest flip lies at some j > i.
+        and y.  The target ortho_masks row of x's image is pulled back
+        through the point table, so its bit j says whether the images of
+        x and of source point j are orthogonal, and XORed with source
+        row i.  The pull-back permutes the N binary digits of the row,
+        N being the number of points, with one itemgetter: digit
+        N - 1 - j of the result is digit N - 1 - to[j] of the row, read
+        from the left.  The first row with a flip holds the first flipping
+        pair, because the flip relation is symmetric and never holds on
+        the diagonal, so that row's lowest flip lies at some j > i.
         """
         pts, to = self.source.all_points(), self.to
-        back = sorted(range(len(to)), key=to.__getitem__)
+        size = len(to)
+        digits = f"0{size}b"
+        pull = itemgetter(*(size - 1 - t for t in reversed(to)))
         tgt_rows = self.target.ortho_masks()
         for i, row in enumerate(self.source.ortho_masks()):
-            flips = image_mask(row, to) ^ tgt_rows[to[i]]
+            flips = int("".join(pull(format(tgt_rows[to[i]], digits))), 2) ^ row
             if flips:
-                above = image_mask(flips, back) >> (i + 1)
-                j = i + (above & -above).bit_length()
-                return pts[i], pts[j]
+                return pts[i], pts[(flips & -flips).bit_length() - 1]
         return None
 
     def preserves_orthogonality(self) -> bool:

@@ -48,7 +48,9 @@ no sort, normalization or row reduction per member.
 member_points lists each member's point indices, and through_masks
 inverts it into point-member incidence, one bitmask of G_k indices per
 point, so a member spanned by known points is found by ANDing their
-masks.
+masks.  Below the top layer the points come from each member's
+points(); at k = n - 1 a member is its own perp, so they are read off
+the space's ortho_masks, one AND of k + 1 rows per member.
 """
 
 from __future__ import annotations
@@ -296,14 +298,26 @@ def grassmannian(space: SymplecticSpace, k) -> Grassmannian:
 def member_points(space: SymplecticSpace, k):
     """Per member of G_k, the indices of its points in space.all_points().
 
-    Each row is increasing, since a member's points() and all_points()
-    share the global order.  This is the one geometric pass over the
-    members' points; through_masks and induce read it.
+    Each row is increasing.  Below the top layer a member s lies properly
+    in its perp, so its points are s.points(), read at point_index():
+    s.points() and all_points() share the global order.  At k = n - 1 a
+    member is maximal totally isotropic, so it is its own perp, and its
+    points are the AND of its rows' ortho_masks rows, read out by bits.
+    This is the one pass over the members' points; through_masks, induce
+    and hyperplane_table read it.
     """
     index = space.point_index()
-    return tuple(
-        tuple(index[pt] for pt in s.points()) for s in grassmannian(space, k).elements
-    )
+    members = grassmannian(space, k).elements
+    if k < space.n - 1:
+        return tuple(tuple(index[pt] for pt in s.points()) for s in members)
+    masks = space.ortho_masks()
+    rows = []
+    for s in members:
+        mask = -1
+        for r in s.rows:
+            mask &= masks[index[r]]
+        rows.append(tuple(bits(mask)))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)

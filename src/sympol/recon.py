@@ -13,15 +13,17 @@ accepted only when exactly one bit is left.  induce reads the image
 point indices off the point table h.to, and each member's points off
 member_points, built once per (space, k), so it enumerates no member's
 points per map.  check_top_transport, the check on each descent step,
-reads each source member's hyperplanes off hyperplane_table, which
-lists them geometrically with hyperplanes_of once per (space, k): the
-coordinate hyperplanes of GF(p)^m, named by point indices, read off the
-member's points(), with no sort or row reduction per member.  It reads
-the containment of each hyperplane's image off the image member's
-hyper_masks row.  reconstruct's point table is the G_0 map's table,
-since G_0 lists the points in all_points() order, and the final
-orthogonality check compares ortho_masks rows through it
-(PointMap.orthogonality_witness).
+reads each source member's hyperplanes off hyperplane_table, built once
+per (space, k).  At k = 1 its rows are member_points(space, 1), since
+a line's hyperplanes are its points; above that it lists them
+geometrically with hyperplanes_of: the coordinate hyperplanes of
+GF(p)^m, named by point indices, read off the member's points(), with
+no sort or row reduction per member.  It reads the containment of each
+hyperplane's image off the image member's hyper_masks row.
+reconstruct's point table is the G_0 map's table, since G_0 lists the
+points in all_points() order, and the final orthogonality check pulls
+each target ortho_masks row back through it and compares it with the
+source row (PointMap.orthogonality_witness).
 
 Base subsets are named by G_k index alone.  BaseSubset.indices gives
 the G_k index of each member of a base's layer subset, so image_base
@@ -341,12 +343,17 @@ def hyperplane_table(space, k):
     """For each member of G_k, the G_(k-1) indices of its hyperplanes.
 
     Row s lists the hyperplanes_of of member s in the order it returns
-    them, located in G_(k-1) by index_of.  Built once per (space, k)
-    from the geometry alone (each member's points() read at the point
-    indices of the coordinate hyperplanes), never from star_table,
-    through_masks or the mask tables, so it stays an independent check
-    of descend.
+    them, located in G_(k-1) by index_of.  At k = 1 the hyperplanes of
+    a line are its points, in points() order, and a G_0 index is a point
+    index, so the table is member_points(space, 1) as it stands.  At
+    k >= 2 it is built once per (space, k) from the geometry alone (each
+    member's points() read at the point indices of the coordinate
+    hyperplanes), never from star_table, through_masks or the mask
+    tables.  The tests compare every row with hyperplanes_of, which is
+    the check of descend independent of member_points.
     """
+    if k == 1:
+        return member_points(space, 1)
     low = grassmannian(space, k - 1)
     return tuple(
         tuple(low.index_of(m) for m in hyperplanes_of(s)) for s in grassmannian(space, k).elements
@@ -357,7 +364,7 @@ def check_top_transport(f: GrassmannianMap, g: GrassmannianMap) -> int:
     """Images of a member's hyperplanes stay inside the member's image.
 
     The hyperplanes of each source member are read off hyperplane_table,
-    whose geometry runs once per (space, k).  A totally isotropic image
+    built once per (space, k).  A totally isotropic image
     of pdim k - 1 lies in the member's image of pdim k exactly when it
     is one of that image's hyperplanes, so containment is one bit of the
     image's hyper_masks row.  Returns the number of (member, hyperplane)
@@ -367,7 +374,7 @@ def check_top_transport(f: GrassmannianMap, g: GrassmannianMap) -> int:
     correct: descend maps each m to the one hyperplane shared by the
     images of m's star, and s contains m exactly when s lies in that
     star, so every bit tested here is set by construction.  It stays as
-    a check of descend against the geometric hyperplanes.
+    a check of descend against the hyperplane lists.
     """
     k = f.source.k
     if g.source.k != k - 1:

@@ -1,13 +1,16 @@
 """Command line behavior: exit codes, determinism and file handling."""
 
+import argparse
 import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from sympol import cli
+from sympol import cli, suites
 from sympol.bases import PointMap, SymplecticBase
 from sympol.errors import MapCheckError
 from sympol.recon import hyperplane_table
@@ -172,13 +175,13 @@ def test_verify_common_base_skips_outside_enum_grid(run, tmp_path, capsys):
     assert not (tmp_path / "cache").exists()
 
 
-@pytest.mark.parametrize("name", sorted(cli.SUITES))
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
 def test_trial_count_decides_whether_a_suite_is_seeded(run, tmp_path, capsys, name):
     # a suite without a trial count must not read the seed; every other
     # suite must refuse to run without one
     out = tmp_path / "r.json"
     args = ("verify", "--n", 2, "--p", 2, "--suite", name, "--out", out)
-    if cli.SUITES[name].trials is not None:
+    if suites.SUITES[name].trials is not None:
         assert run(*args) == 2
         assert capsys.readouterr().err == "error: randomized suites need --seed for reproducibility\n"
         assert not out.exists()
@@ -223,8 +226,8 @@ def test_verify_reports_failures(run, tmp_path, monkeypatch):
             }
         ]
 
-    stub = cli.Suite("forced failure", failing, None, None)
-    monkeypatch.setitem(cli.SUITES, "sizes", stub)
+    stub = suites.Suite("forced failure", failing, None, None)
+    monkeypatch.setitem(suites.SUITES, "sizes", stub)
     out = tmp_path / "r.json"
     assert run("verify", "--n", 2, "--p", 2, "--suite", "sizes", "--seed", "s", "--out", out) == 1
     report = json.loads(read_bytes(out))
@@ -247,8 +250,8 @@ def test_each_check_reports_its_own_first_witness(run, tmp_path, monkeypatch):
 
         return check
 
-    monkeypatch.setattr(cli, "check_span_transport", breaks_on("span", 1))
-    monkeypatch.setattr(cli, "check_family_transport", breaks_on("family", 3))
+    monkeypatch.setattr(suites, "check_span_transport", breaks_on("span", 1))
+    monkeypatch.setattr(suites, "check_family_transport", breaks_on("family", 3))
     out = tmp_path / "r.json"
     argv = ("--n", 3, "--p", 2, "--k", 1, "--suite", "transport", "--trials", 4, "--seed", "s")
     assert run("verify", *argv, "--out", out) == 1
@@ -571,8 +574,66 @@ def test_cache_flag_is_scoped_to_the_command(run, tmp_path, monkeypatch, before)
         monkeypatch.delenv("SYMPOL_CACHE_DIR")
     previous = os.environ.get("SYMPOL_CACHE_DIR")
     special = tmp_path / "special-cache"
+    h_path = tmp_path / "h.json"
+    assert run("random-collineation", "--n", 2, "--p", 2, "--seed", "s", "--out", h_path) == 0
+    assert run("induce", "--map", h_path, "--k", 1, "--out", tmp_path / "f.json", "--cache", special) == 0
+    assert sorted(os.listdir(special)) == [f"grassmannian-n2-p2-k{k}.json" for k in (0, 1)]
+    assert os.environ.get("SYMPOL_CACHE_DIR") == previous
     assert run("enumerate", "--n", 2, "--p", 2, "--cache", special, "--out", tmp_path / "c.csv") == 0
     assert os.environ.get("SYMPOL_CACHE_DIR") == previous
     # a rejected request restores it too
     assert run("reconstruct", "--map", tmp_path / "missing.json", "--cache", special) == 2
     assert os.environ.get("SYMPOL_CACHE_DIR") == previous
+
+
+# each command of a pipeline, in pipeline order so that each reads the
+# file the one before wrote, then enumerate
+PIPELINE = (
+    ("random-collineation", "--n", "2", "--p", "3", "--seed", "s", "--out", "h.json"),
+    ("induce", "--map", "h.json", "--k", "1", "--out", "f.json"),
+    ("reconstruct", "--map", "f.json", "--out", "e.json", "--certificate", "c.json"),
+    ("enumerate", "--n", "2", "--p", "3", "--out", "counts.csv"),
+)
+
+CHILD = (
+    "import json, sys, sympol.cli; code = sympol.cli.main(sys.argv[1:]); "
+    "print(json.dumps([code, 'sympol.suites' in sys.modules]))"
+)
+
+
+def test_pipeline_commands_never_import_the_suites(tmp_path):
+    # a fresh interpreter per command, as a pipeline runs them
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, SYMPOL_CACHE_DIR=str(tmp_path / "cache"))
+    for argv in PIPELINE:
+        done = subprocess.run(
+            [sys.executable, "-c", CHILD, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, False], argv[0]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")], ids=["sympol", "verify"])
+def test_help_lists_every_suite_and_anchor(run, capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        run(*argv)
+    assert excinfo.value.code == 0
+    text = capsys.readouterr().out
+    for name, suite in suites.SUITES.items():
+        tag = " (seeded)" if suite.trials is not None else ""
+        assert f"\n  {name}{tag}\n      {suite.anchor}\n" in text
+
+
+def test_unknown_suite_lists_the_registered_choices(run, capsys):
+    # the error argparse gives for the plain list of choices
+    plain = argparse.ArgumentParser(prog="sympol verify")
+    plain.add_argument("--suite", choices=[*suites.SUITES, "all"])
+    with pytest.raises(SystemExit):
+        plain.parse_args(["--suite", "bogus"])
+    want = capsys.readouterr().err.splitlines()[-1]
+    with pytest.raises(SystemExit) as excinfo:
+        run("verify", "--n", 2, "--p", 2, "--suite", "bogus")
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == want
+    assert "{" + ",".join([*suites.SUITES, "all"]) + "}" in err

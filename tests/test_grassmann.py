@@ -20,6 +20,7 @@ from sympol.grassmann import (
     hyperplanes_of,
     interval,
     maximal_adjacency_cliques,
+    member_points,
     ortho_adjacent,
     star,
     star_index_sets,
@@ -187,6 +188,18 @@ def test_points_match_vector_scan(n, p):
     for k in layers(sp):
         for s in grassmannian(sp, k):
             assert s.points() == _points_by_scan(s)
+
+
+# At the top layer member_points reads each member's points off the
+# ortho_masks rows of its own rows, a member there being its own perp;
+# the points() route is the reference on every layer.
+@pytest.mark.parametrize("n,p", ENUM_GRID, ids=[f"n{n}p{p}" for n, p in ENUM_GRID])
+def test_member_points_match_points_route(n, p):
+    sp = SymplecticSpace.standard(n, p)
+    index = sp.point_index()
+    for k in layers(sp):
+        want = tuple(tuple(index[pt] for pt in s.points()) for s in grassmannian(sp, k))
+        assert member_points(sp, k) == want
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
