@@ -7,13 +7,14 @@ set.  Scaling representatives never changes the structure, so bases are
 compared by their sorted point tuples, which key() builds on each call.
 The bases formed from base_columns share the one standard_sigma tuple.
 
-Bases are generated three independent ways: directly from the standard
-coordinate frame, as images under random products of symplectic
-transvections, and by exhaustive backtracking over point indices.  The
-backtracking count is cross-checked in the tests against the closed form
-|Sp(2n, p)| / ((p - 1)^n 2^n n!) and against a group-orbit sweep.  The
-backtracking walk, base_columns, records one compact column of point
-indices per base position, and nothing else holds the bases:
+Bases are generated three ways: directly from the standard coordinate
+frame, as images under random products of symplectic transvections, and
+by exhaustive backtracking over point indices.  The tests cross-check
+the backtracking count against the closed form
+|Sp(2n, p)| / ((p - 1)^n 2^n n!) and the bases against a group-orbit
+sweep, both kept in tests/oracles.py.  The backtracking walk,
+base_columns, records one compact column of point indices per base
+position, and nothing else holds the bases:
 enumerate_all_bases returns a read-only sequence over those columns that
 forms each base object only when it is read, through base_from_row, and
 the base-subset universe and the exactness oracle read the columns
@@ -23,9 +24,9 @@ A random product of transvections is never multiplied out: the rows
 e_1..e_2n are pushed through the seeded transvections one at a time,
 random_base normalizes them, and random_collineation tabulates every
 point from them in one pass, as the point index table PointMap holds.
-The matrix route, transvection_matrix multiplied out by mat_mul and
-tabulated by PointMap.from_matrix, stays as the tests' oracle for both;
-the orbit sweep tabulates each transvection the same way.
+The tests' oracle for both multiplies the transvection matrices out and
+tabulates the product with PointMap.from_matrix; their orbit sweep
+tabulates each transvection the same way.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from functools import lru_cache, partial
 from itertools import combinations, repeat
-from math import factorial
 from operator import itemgetter, mul
 
 from sympol import _kernels
@@ -77,9 +77,6 @@ class SymplecticBase:
     def key(self):
         """Canonical identity: the sorted point tuple (sigma is implied)."""
         return tuple(sorted(self.points))
-
-    def partner(self, i: int):
-        return self.points[self.sigma[i]]
 
     def __eq__(self, other):
         return (
@@ -135,18 +132,6 @@ def is_symplectic_base(space, points) -> bool:
     return True
 
 
-def perturb_one(base: SymplecticBase, i: int, c: int) -> SymplecticBase:
-    """Replace p_i by p_i + c p_sigma(i); any c != 0 gives a new base."""
-    p = base.space.p
-    if c % p == 0:
-        raise DegenerateParameterError("c = 0 reproduces the same base")
-    pts = list(base.points)
-    pts[i] = normalize_point(vec_add(pts[i], vec_scale(c, base.partner(i), p), p), p)
-    out = SymplecticBase(base.space, pts, base.sigma)
-    assert recognize(base.space, out.points) == base.sigma
-    return out
-
-
 def perturb_pair(base: SymplecticBase, i: int, j: int, c: int) -> SymplecticBase:
     """Replace p_i by p_i + c p_j and move p_sigma(j) to compensate.
 
@@ -196,15 +181,13 @@ class PointMap:
             raise MapCheckError("table must cover every source point exactly once")
         if len(set(to)) != len(to):
             raise MapCheckError("table is not injective")
-        if not set(to) <= set(range(len(target.all_points()))):
+        # True and 1.0 hash and compare like 1, so the range test alone
+        # would pass them
+        if {type(t) for t in to} != {int} or not set(to) <= set(range(len(target.all_points()))):
             raise MapCheckError("table values must be target points")
         self.source = source
         self.target = target
         self.to = to
-
-    @classmethod
-    def identity(cls, space) -> "PointMap":
-        return cls(space, space, range(len(space.all_points())))
 
     @classmethod
     def from_matrix(cls, source, target, matrix) -> "PointMap":
@@ -222,14 +205,6 @@ class PointMap:
         index, pts = self.source.point_index(), self.target.all_points()
         images = (pts[self.to[index[x]]] for x in base.points)
         return SymplecticBase.from_points(self.target, images)
-
-    def compose(self, other: "PointMap") -> "PointMap":
-        """self after other."""
-        return PointMap(other.source, self.target, [self.to[t] for t in other.to])
-
-    def inverse(self) -> "PointMap":
-        # index t of the inverse holds the i with to[i] = t
-        return PointMap(self.target, self.source, sorted(range(len(self.to)), key=self.to.__getitem__))
 
     def orthogonality_witness(self):
         """The first point pair on which orthogonality flips, or None.
@@ -278,20 +253,6 @@ def mat_apply(x, matrix, p):
     return tuple(sum(x[i] * matrix[i][j] for i in range(len(x))) % p for j in range(d))
 
 
-def mat_mul(a, b, p):
-    return tuple(mat_apply(row, b, p) for row in a)
-
-
-def transvection_matrix(space: SymplecticSpace, v, c):
-    """Matrix of x -> x + c omega(x, v) v, a symplectic transvection."""
-    d = space.dim
-    fr = space.form_row(v)
-    p = space.p
-    return tuple(
-        tuple((int(i == j) + c * fr[i] * v[j]) % p for j in range(d)) for i in range(d)
-    )
-
-
 def _transvection_stream(space, rng, count):
     pts = space.all_points()
     for _ in range(count):
@@ -306,8 +267,8 @@ def _pushed_rows(space, seed):
     Row i is e_i pushed through the transvections in stream order, since
     x T_1 T_2 ... applies T_1 first; x T = x + c omega(v, x) v touches a
     row only when omega(v, x) != 0.  Entries are reduced mod p after each
-    step, as each mat_mul product reduces them, so the rows equal the
-    matrix product entry for entry.
+    step, as each step of a matrix product reduces them, so the rows equal
+    the matrix product entry for entry.
     """
     rng = random.Random(seed)
     p, d = space.p, space.dim
@@ -452,52 +413,3 @@ def enumerate_all_bases(space: SymplecticSpace):
     every base shares the one standard_sigma tuple.
     """
     return _BaseSequence(space, base_columns(space))
-
-
-def enumerate_bases_orbit(space: SymplecticSpace):
-    """Orbit of the standard base under all transvections (oracle route).
-
-    Returns the set of canonical index-pair keys; transvections generate
-    the symplectic group, so the orbit is the full base set.
-    """
-    _require_enumerable(space)
-    perms = [
-        PointMap.from_matrix(space, space, transvection_matrix(space, v, c)).to
-        for v in space.all_points()
-        for c in range(1, space.p)
-    ]
-    start = base_key_pairs(space, SymplecticBase.standard(space))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for k in frontier:
-            for perm in perms:
-                moved = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in k))
-                if moved not in seen:
-                    seen.add(moved)
-                    nxt.append(moved)
-        frontier = nxt
-    return seen
-
-
-def base_key_pairs(space, base):
-    """Canonical index-pair key matching enumerate_bases_orbit."""
-    index = space.point_index()
-    idx = [index[x] for x in base.points]
-    s = base.sigma
-    return tuple(sorted(tuple(sorted((idx[i], idx[s[i]]))) for i in range(space.dim) if i < s[i]))
-
-
-def symplectic_group_order(n, p):
-    """|Sp(2n, p)| = p^(n^2) prod_{i=1..n} (p^(2i) - 1)."""
-    order = p ** (n * n)
-    for i in range(1, n + 1):
-        order *= p ** (2 * i) - 1
-    return order
-
-
-def expected_base_count(n, p):
-    """Base count from the group order: stabilizers contribute
-    (p - 1)^n scalings, 2^n in-pair swaps and n! pair permutations."""
-    return symplectic_group_order(n, p) // ((p - 1) ** n * 2**n * factorial(n))

@@ -38,8 +38,9 @@ star, and ortho-adjacent exactly when they share a top, so
 adjacency_masks builds both relations as unions of those cliques and
 pair_relation reads them, with no pairwise geometry.  The predicates
 adjacent and ortho_adjacent compute the relations from the subspaces
-themselves, hyperplanes_of the stars, and all_subspaces the layers;
-they serve as the independent references the tests compare against.
+themselves, and hyperplanes_of the stars; they serve as the independent
+references the tests compare against, beside a scan of every subspace
+of the ambient space in tests/oracles.py that rebuilds each layer.
 hyperplanes_of reads no layer table: the hyperplanes of GF(p)^m are
 named once per (p, m) by the point indices of their canonical bases,
 and a member's hyperplanes are its points() read at those indices, with
@@ -139,7 +140,8 @@ def _levelwise(space, k, lower):
     a free column are the q.  No sort is needed: members sharing a
     prefix compare by q, which comes in the global order, and members
     with different prefixes compare as those prefixes do, which come
-    sorted in lower.  all_subspaces keeps rref as the oracle.
+    sorted in lower.  The tests keep a scan of every subspace, by rref,
+    as the oracle.
     """
     p, d = space.p, space.dim
     if not k:
@@ -155,26 +157,6 @@ def _levelwise(space, k, lower):
             if q.index(1) in free:
                 out.append(Subspace(p, d, s.rows + (q,)))
     return tuple(out)
-
-
-def all_subspaces(space: SymplecticSpace, k):
-    """Every pdim-k subspace of the ambient projective space (oracle).
-
-    Built by extending each subspace by every point outside it, with no
-    use of the form, so it stays independent of _levelwise.
-    """
-    p, d = space.p, space.dim
-    level = [Subspace.empty(p, d)]
-    for _ in range(k + 1):
-        nxt = {}
-        for s in level:
-            for q in space.all_points():
-                if s.rows and s.contains_vector(q):
-                    continue
-                rows = _kernels.rref(s.rows + (q,), d, p)
-                nxt.setdefault(rows, Subspace(p, d, rows))
-        level = list(nxt.values())
-    return tuple(sorted(level, key=lambda s: s.rows))
 
 
 def default_cache_dir():
@@ -450,11 +432,6 @@ def top(space: SymplecticSpace, n_sub: Subspace, k):
     if grassmannian(space, k + 1).index_of(n_sub) is None:
         raise DimensionError("top vertex must be totally isotropic")
     return hyperplanes_of(n_sub)
-
-
-def interval(space: SymplecticSpace, m: Subspace, n_sub: Subspace, k):
-    """Members of G_k between m (pdim k-1) and n_sub (pdim k+1)."""
-    return tuple(s for s in top(space, n_sub, k) if s.contains(m))
 
 
 def _union_of_cliques(nverts, cliques):

@@ -115,17 +115,9 @@ class Subspace:
         return cls(p, ambient, _kernels.rref(vectors, ambient, p))
 
     @classmethod
-    def empty(cls, p, ambient) -> "Subspace":
-        return cls(p, ambient, ())
-
-    @classmethod
     def full(cls, p, ambient) -> "Subspace":
         rows = tuple(tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient))
         return cls(p, ambient, rows)
-
-    @classmethod
-    def from_point(cls, p, point) -> "Subspace":
-        return cls(p, len(point), (normalize_point(point, p),))
 
     @property
     def vdim(self) -> int:
@@ -157,12 +149,6 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         rows = _kernels.intersect(self.rows, other.rows, self.ambient, self.p)
-        return Subspace(self.p, self.ambient, rows)
-
-    def plus(self, other: "Subspace") -> "Subspace":
-        """Span of the union (the projective join)."""
-        self._check_compatible(other)
-        rows = _kernels.rref(self.rows + other.rows, self.ambient, self.p)
         return Subspace(self.p, self.ambient, rows)
 
     def points(self):

@@ -85,14 +85,12 @@ class GrassmannianMap:
             raise MapCheckError(f"table must cover all {len(source)} source elements")
         bound = len(target)
         for j in table:
-            if not 0 <= j < bound:
+            # a bool or float index would pass the range test
+            if type(j) is not int or not 0 <= j < bound:
                 raise MapCheckError(f"table value {j} out of range")
         self.source = source
         self.target = target
         self.table = table
-
-    def is_injective(self) -> bool:
-        return len(set(self.table)) == len(self.table)
 
     def __eq__(self, other):
         return (
@@ -232,7 +230,12 @@ def _pushed(push, collection):
 
 
 def _type1_transport(f: GrassmannianMap, base: SymplecticBase):
-    """type1_position_map, with the index push it was read through."""
+    """The position bijection read off the first-type families, for
+    k < n - 1, with the index push it was read through.
+
+    Position i goes to the position whose first-type family in the
+    image subset is the image of the one at i.
+    """
     space = f.source.space
     if f.source.k >= space.n - 1:
         raise DimensionError("first-type families are maximal only below the top layer")
@@ -247,15 +250,6 @@ def _type1_transport(f: GrassmannianMap, base: SymplecticBase):
     if len(set(pi)) != space.dim:
         raise MapCheckError("first-type transport is not a bijection", witness=tuple(pi))
     return tuple(pi), bs, bs2, push
-
-
-def type1_position_map(f: GrassmannianMap, base: SymplecticBase):
-    """Position bijection read off the first-type families, for k < n - 1.
-
-    Position i goes to the position whose first-type family in the
-    image subset is the image of the one at i.
-    """
-    return _type1_transport(f, base)[0]
 
 
 def check_span_transport(f: GrassmannianMap, base: SymplecticBase) -> int:

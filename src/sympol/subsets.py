@@ -32,8 +32,7 @@ left in the AND of their through_masks rows.  member_mask, the oracle
 and every caller outside this module read members off it.
 BaseSubset.subspace row reduces the points instead and builds no
 layer.  certify_inexact compares spans through it, so it runs on any
-grid, however large G_k is; otherwise only the meet_at_subspace oracle
-and BaseSubset.members, which only the tests call, use it.
+grid, however large G_k is; the tests' geometric oracles use it too.
 """
 
 from functools import lru_cache
@@ -47,7 +46,6 @@ from sympol.grassmann import grassmannian_size, through_masks
 from sympol.linalg import (
     Subspace,
     extend_basis,
-    intersect_all,
     normalize_point,
     solve_particular,
     vec_add,
@@ -111,18 +109,14 @@ class BaseSubset:
         """The member spanned by the points at the given positions.
 
         Row reduces the points on every call.  This is the geometric
-        route, for certify_inexact, the meet_at_subspace oracle and
-        members, and it builds no Grassmannian layer; the G_k index of a
-        member comes from indices.
+        route, for certify_inexact and the tests' oracles, and it builds
+        no Grassmannian layer; the G_k index of a member comes from
+        indices.
         """
         if index_set not in self._position:
             raise DimensionError(f"not a member index set: {sorted(index_set)}")
         space = self.base.space
         return Subspace.span(space.p, space.dim, [self.base.points[i] for i in index_set])
-
-    def members(self):
-        """Every member as a subspace, aligned with index_sets."""
-        return tuple(self.subspace(i) for i in self.index_sets)
 
     def indices(self):
         """The G_k index of every member, aligned with index_sets.
@@ -174,24 +168,6 @@ def meet_at(collection, i):
         if i in index_set:
             acc = index_set if acc is None else acc & index_set
     return acc
-
-
-def meet_at_subspace(bs: BaseSubset, collection, i) -> Subspace:
-    """Geometric form of meet_at, for cross-checking the index form."""
-    through = [bs.subspace(s) for s in collection if i in s]
-    if not through:
-        space = bs.base.space
-        return Subspace.empty(space.p, space.dim)
-    return intersect_all(through)
-
-
-def pins_every_point(bs: BaseSubset, collection) -> bool:
-    """Whether each position is the full meet of its members.
-
-    A collection passing this test extends to a unique base subset; the
-    converse direction fails, so a False answer decides nothing.
-    """
-    return all(meet_at(collection, i) == {i} for i in range(bs.base.space.dim))
 
 
 def inexactness_witness(bs: BaseSubset, collection):
@@ -289,14 +265,6 @@ def maximal_inexact_families(bs: BaseSubset):
     return tuple(out)
 
 
-def classify_maximal_inexact(bs: BaseSubset, collection):
-    """Label of the constructed family equal to the collection, or None."""
-    for label, members in maximal_inexact_families(bs):
-        if members == collection:
-            return label
-    return None
-
-
 def complement_type1(bs: BaseSubset, i):
     """Complement of the first-type family: members through position i."""
     return bs.select(plus=(i,))
@@ -359,17 +327,6 @@ def common_complement_count(bs: BaseSubset, sa, ua) -> int:
         if index_set not in bs:
             raise DimensionError(f"not a member index set: {sorted(index_set)}")
     return sum(1 for members in distinct_complements(bs) if sa in members and ua in members)
-
-
-def complement_adjacency_test(bs: BaseSubset, sa, ua) -> bool:
-    """Adjacency of two top-layer members read off the complement count.
-
-    Requires k = n - 1; the count equals choose(t, 2) for t shared
-    positions, which separates adjacent pairs only when n >= 3.
-    """
-    if bs.k != bs.base.space.n - 1:
-        raise DimensionError("complement counting reads adjacency only in the top layer")
-    return common_complement_count(bs, sa, ua) == comb(bs.k, 2)
 
 
 def first_type_size(n, k):
@@ -561,19 +518,6 @@ def maximal_inexact_oracle(bs: BaseSubset):
             keep.append(mask)
     collections = (frozenset(member_of[b] for b in bits(mask)) for mask in keep)
     return tuple(sorted(collections, key=_collection_key))
-
-
-def unpinned_exact_example(bs: BaseSubset):
-    """An exact collection that the pin test cannot confirm.
-
-    Every member avoiding position 0 plus one member through it: for
-    1 <= k < n - 1 the meet at 0 is that whole member rather than the
-    point, yet only one base subset covers the collection.
-    """
-    if not 1 <= bs.k < bs.base.space.n - 1:
-        raise DimensionError("needs a layer with 1 <= k < n - 1")
-    extra = min(bs.select(plus=(0,)), key=sorted)
-    return type1_members(bs, 0) | frozenset((extra,))
 
 
 def complete_to_base(space: SymplecticSpace, pairs, singles) -> SymplecticBase:

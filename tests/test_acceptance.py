@@ -13,6 +13,7 @@ from math import comb
 
 import pytest
 
+from oracles import complement_adjacency_test, subset_members
 from sympol.bases import (
     SymplecticBase,
     random_base,
@@ -40,7 +41,6 @@ from sympol.subsets import (
     base_subset_size,
     common_base,
     common_complement_count,
-    complement_adjacency_test,
     disjointness_degrees,
     first_type_size,
     maximal_inexact_families,
@@ -63,7 +63,7 @@ def test_sizes_on_random_bases():
             for t in range(100):
                 bs = BaseSubset(random_base(sp, f"c1:{n}:{p}:{k}:{t}"), k)
                 assert len(bs) == expected
-                members = bs.members()
+                members = subset_members(bs)
                 assert len({m.rows for m in members}) == expected
                 if t < 10:
                     assert all(m.pdim == k and sp.is_totally_isotropic(m) for m in members)
@@ -81,7 +81,7 @@ def test_common_base_all_small_pairs():
         for i in range(len(g)):
             for j in range(i, len(g)):
                 base = common_base(sp, g[i], g[j])
-                members = BaseSubset(base, k).members()
+                members = subset_members(BaseSubset(base, k))
                 assert g[i] in members and g[j] in members
     assert time.monotonic() - start < 120
 
@@ -98,7 +98,7 @@ def test_common_base_random_pairs(n, p):
         g = layers[k]
         s, u = g[rng.randrange(len(g))], g[rng.randrange(len(g))]
         base = common_base(sp, s, u)
-        members = BaseSubset(base, k).members()
+        members = subset_members(BaseSubset(base, k))
         assert s in members and u in members
     assert time.monotonic() - start < 120
 

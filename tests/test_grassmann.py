@@ -9,16 +9,15 @@ from itertools import product
 
 import pytest
 
+from oracles import all_subspaces, interval, layers
 from sympol import _kernels, grassmann, serialize
 from sympol.errors import DimensionError
 from sympol.grassmann import (
     adjacency_masks,
     adjacent,
-    all_subspaces,
     grassmannian,
     grassmannian_size,
     hyperplanes_of,
-    interval,
     maximal_adjacency_cliques,
     member_points,
     ortho_adjacent,
@@ -31,10 +30,6 @@ from sympol.grassmann import (
 )
 from sympol.linalg import Subspace
 from sympol.space import BASE_GRID, ENUM_GRID, SymplecticSpace
-
-
-def layers(space):
-    return range(space.n)
 
 
 # The exhaustive checks below reach one grid past BASE_GRID.  The list is
@@ -277,7 +272,7 @@ def test_hyperplanes(small_space):
         assert h.pdim == s.pdim - 1
         assert s.contains(h)
     with pytest.raises(DimensionError):
-        hyperplanes_of(Subspace.empty(sp.p, sp.dim))
+        hyperplanes_of(Subspace(sp.p, sp.dim, ()))
 
 
 # hyperplanes_of is the reference star_table and hyper_masks are tested

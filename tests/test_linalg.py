@@ -30,13 +30,13 @@ def test_span_canonicalizes():
 
 
 def test_empty_and_full():
-    e = Subspace.empty(3, 4)
+    e = Subspace(3, 4, ())
     f = Subspace.full(3, 4)
     assert e.vdim == 0 and e.pdim == -1
     assert f.vdim == 4
     assert f.contains(e)
     assert e.intersect(f) == e
-    assert e.plus(f) == f
+    assert Subspace.span(3, 4, e.rows + f.rows) == f
 
 
 def test_contains_and_points():
@@ -67,7 +67,7 @@ def test_lattice_dimension_formula():
             a = Subspace.span(p, 5, vecs)
             b = Subspace.span(p, 5, wecs)
             meet = a.intersect(b)
-            join = a.plus(b)
+            join = Subspace.span(p, 5, a.rows + b.rows)
             assert meet.vdim + join.vdim == a.vdim + b.vdim
             assert a.contains(meet) and b.contains(meet)
             assert join.contains(a) and join.contains(b)
@@ -102,5 +102,5 @@ def test_solve_particular_and_extend_basis():
 
 def test_ordering_is_total_on_layers():
     p = 2
-    layer = sorted(Subspace.from_point(p, x) for x in [(0, 1), (1, 0), (1, 1)])
+    layer = sorted(Subspace(p, 2, (x,)) for x in [(0, 1), (1, 0), (1, 1)])
     assert [s.rows for s in layer] == sorted(s.rows for s in layer)

@@ -83,7 +83,7 @@ def _perp_by_row_reduction(sp, s):
 @pytest.mark.parametrize("n,p", ENUM_GRID, ids=[f"n{n}p{p}" for n, p in ENUM_GRID])
 def test_perp_matches_row_reduction(n, p):
     sp = SymplecticSpace.standard(n, p)
-    subspaces = [Subspace.empty(p, sp.dim), Subspace.full(p, sp.dim)]
+    subspaces = [Subspace(p, sp.dim, ()), Subspace.full(p, sp.dim)]
     for k in range(n):
         subspaces.extend(grassmannian(sp, k))
     for s in subspaces:

@@ -7,6 +7,15 @@ from math import comb
 
 import pytest
 
+from oracles import (
+    classify_maximal_inexact,
+    complement_adjacency_test,
+    layers,
+    meet_at_subspace,
+    pins_every_point,
+    subset_members,
+    unpinned_exact_example,
+)
 from sympol import grassmann, subsets
 from sympol.bases import (
     SymplecticBase,
@@ -25,10 +34,8 @@ from sympol.subsets import (
     base_subset_size,
     canonical_type2,
     certify_inexact,
-    classify_maximal_inexact,
     common_base,
     common_complement_count,
-    complement_adjacency_test,
     complement_family,
     complement_type1,
     complement_type2,
@@ -43,23 +50,16 @@ from sympol.subsets import (
     maximal_inexact_families,
     maximal_inexact_oracle,
     meet_at,
-    meet_at_subspace,
     member_mask,
     ordered_type2_params,
-    pins_every_point,
     second_type_size,
     subset_universe,
     type1_members,
     type2_members,
     universe_columns,
-    unpinned_exact_example,
 )
 
 ORACLE_GRID = ((2, 2), (2, 3))
-
-
-def layers(space):
-    return range(space.n)
 
 
 def subsets_of(space, base=None):
@@ -72,7 +72,7 @@ def test_sizes_and_recurrence(small_space):
     n = sp.n
     for bs in subsets_of(sp):
         assert len(bs) == base_subset_size(n, bs.k)
-        assert len(set(bs.members())) == len(bs)
+        assert len(set(subset_members(bs))) == len(bs)
     for k in range(n - 1):
         assert base_subset_size(n, k) * 2 * (n - k - 1) == base_subset_size(n, k + 1) * (k + 2)
 
@@ -80,7 +80,7 @@ def test_sizes_and_recurrence(small_space):
 def test_members_are_isotropic_of_right_dimension(small_space):
     sp = small_space
     for bs in subsets_of(sp):
-        for s in bs.members():
+        for s in subset_members(bs):
             assert s.pdim == bs.k
             assert sp.is_totally_isotropic(s)
 
@@ -100,7 +100,7 @@ def test_membership_and_lookup(small_space):
         assert some in bs
         # indices names the members the row-reduced spans name
         g = grassmannian(sp, bs.k)
-        assert bs.indices() == tuple(g.index_of(s) for s in bs.members())
+        assert bs.indices() == tuple(g.index_of(s) for s in subset_members(bs))
         assert len(bs) < len(g)
         with pytest.raises(DimensionError):
             bs.subspace(frozenset(range(bs.k + 1)) | {sp.dim - 1})
@@ -708,7 +708,7 @@ def test_common_base_all_pairs(n, p):
             for b in elems:
                 base = common_base(sp, a, b)
                 assert is_symplectic_base(sp, base.points)
-                members = BaseSubset(base, k).members()
+                members = subset_members(BaseSubset(base, k))
                 assert a in members and b in members
 
 
@@ -720,8 +720,8 @@ def test_common_base_mixed_layers():
         for bi in range(0, len(g2), 41):
             a, b = g0[ai], g2[bi]
             base = common_base(sp, a, b)
-            assert a in BaseSubset(base, 0).members()
-            assert b in BaseSubset(base, 2).members()
+            assert a in subset_members(BaseSubset(base, 0))
+            assert b in subset_members(BaseSubset(base, 2))
 
 
 def test_common_base_rejects_non_isotropic():
