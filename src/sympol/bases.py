@@ -132,18 +132,16 @@ def is_symplectic_base(space, points) -> bool:
     return True
 
 
-def perturb_pair(base: SymplecticBase, i: int, j: int, c: int) -> SymplecticBase:
-    """Replace p_i by p_i + c p_j and move p_sigma(j) to compensate.
+def perturb_pair(base: SymplecticBase, i: int, j: int) -> SymplecticBase:
+    """Replace p_i by p_i + p_j and move p_sigma(j) to compensate.
 
-    Requires j not in {i, sigma(i)} and c != 0.  The replacement for
-    p_sigma(j) is the unique point of the line through p_sigma(i) and
-    p_sigma(j) orthogonal to the new p_i; sigma is unchanged.
+    Requires j not in {i, sigma(i)}.  The replacement for p_sigma(j) is
+    the unique point of the line through p_sigma(i) and p_sigma(j)
+    orthogonal to the new p_i; sigma is unchanged.
     """
     space = base.space
     p = space.p
     sigma = base.sigma
-    if c % p == 0:
-        raise DegenerateParameterError("c = 0 reproduces the same base")
     if j == i or j == sigma[i]:
         raise DegenerateParameterError("j must avoid i and sigma(i)")
     x_i, x_j = base.points[i], base.points[j]
@@ -151,9 +149,9 @@ def perturb_pair(base: SymplecticBase, i: int, j: int, c: int) -> SymplecticBase
     w_i = space.omega(x_i, x_si)
     w_j = space.omega(x_j, x_sj)
     inv = _kernels.inverses(p)
-    lam = (-w_i * inv[(c * w_j) % p]) % p
+    lam = (-w_i * inv[w_j]) % p
     pts = list(base.points)
-    pts[i] = normalize_point(vec_add(x_i, vec_scale(c, x_j, p), p), p)
+    pts[i] = normalize_point(vec_add(x_i, x_j, p), p)
     pts[sigma[j]] = normalize_point(vec_add(x_si, vec_scale(lam, x_sj, p), p), p)
     out = SymplecticBase(space, pts, sigma)
     assert recognize(space, out.points) == sigma

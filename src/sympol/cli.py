@@ -46,7 +46,7 @@ from sympol.serialize import (
     write_csv,
     write_report_csv,
 )
-from sympol.space import BASE_GRID, CLIQUE_GRID, ENUM_GRID, SymplecticSpace
+from sympol.space import BASE_GRID, ENUM_GRID, SymplecticSpace
 
 
 def _usage(message):
@@ -181,7 +181,7 @@ def _epilog():
         f"  enumeration and map plumbing   {ENUM_GRID}",
         f"  exactness oracle               {BASE_GRID}",
         f"  collineation suites            {BASE_GRID}",
-        f"  clique search                  {CLIQUE_GRID}",
+        f"  clique search                  {BASE_GRID}",
         "",
         "verification suites:",
     ]

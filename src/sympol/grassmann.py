@@ -15,13 +15,11 @@ of nothing and is skipped; every other s takes one perp, read off the
 space's orthogonality masks, and one span of the complement of s in it.
 The lower layer is sorted and each s's points come in the global
 order, so the new layer comes out sorted.  Each layer is cached on disk
-keyed by (n, p, k), as one compact JSON line: a cold build of G_0..G_2
-at (3, 3), files written, took 0.13-0.14 s in process on a 2-core host,
-against 0.04-0.05 s for a validated load of the same files.  The one
-setting for the cache location is the SYMPOL_CACHE_DIR environment
-variable, read by default_cache_dir() and falling back to
-~/.cache/sympol.  A cached layer whose file format, header or structure
-fails the check on load is rebuilt and rewritten.
+keyed by (n, p, k), as one compact JSON line.  The one setting for the
+cache location is the SYMPOL_CACHE_DIR environment variable, read by
+default_cache_dir() and falling back to ~/.cache/sympol.  A cached
+layer whose file format, header or structure fails the check on load is
+rebuilt and rewritten.
 
 Two pdim-k subspaces are adjacent when their intersection has pdim
 k - 1 (for k = 0 this means being distinct), and ortho-adjacent when,
@@ -51,7 +49,7 @@ inverts it into point-member incidence, one bitmask of G_k indices per
 point, so a member spanned by known points is found by ANDing their
 masks.  Below the top layer the points come from each member's
 points(); at k = n - 1 a member is its own perp, so they are read off
-the space's ortho_masks, one AND of k + 1 rows per member.
+the space's ortho_masks, one space.meet of k + 1 rows per member.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from sympol import _kernels
 from sympol.errors import DimensionError, FeasibilityError, SchemaError
 from sympol.linalg import Subspace
 from sympol.serialize import atomic_write_text, load_json
-from sympol.space import CLIQUE_GRID, SymplecticSpace, bits
+from sympol.space import BASE_GRID, SymplecticSpace, bits, invert, meet
 
 
 class Grassmannian:
@@ -212,12 +210,10 @@ def _valid_layer(space, k, members):
         found = _canonical_indices(index, s.rows)
         if found is None or len(found) != k + 1:
             return False
-        common, rows = -1, 0
+        common = meet(masks, found)
         for i in found:
-            common &= masks[i]
-            rows |= 1 << i
-        if common & rows != rows:
-            return False
+            if not common >> i & 1:
+                return False
     return all(a.rows < b.rows for a, b in zip(members, members[1:]))
 
 
@@ -293,13 +289,7 @@ def member_points(space: SymplecticSpace, k):
     if k < space.n - 1:
         return tuple(tuple(index[pt] for pt in s.points()) for s in members)
     masks = space.ortho_masks()
-    rows = []
-    for s in members:
-        mask = -1
-        for r in s.rows:
-            mask &= masks[index[r]]
-        rows.append(tuple(bits(mask)))
-    return tuple(rows)
+    return tuple(tuple(bits(meet(masks, map(index.__getitem__, s.rows)))) for s in members)
 
 
 @lru_cache(maxsize=None)
@@ -307,15 +297,10 @@ def through_masks(space: SymplecticSpace, k):
     """Bitmask per point index of the G_k members through that point.
 
     Bit m of entry pt is set when member m contains the point with index
-    pt in space.all_points(); built once per (n, p, k) from
+    pt in space.all_points(); built once per (n, p, k) by inverting
     member_points, so later lookups need no row reduction.
     """
-    masks = [0] * len(space.all_points())
-    for m, row in enumerate(member_points(space, k)):
-        bit = 1 << m
-        for i in row:
-            masks[i] |= bit
-    return tuple(masks)
+    return invert(member_points(space, k), len(space.all_points()))
 
 
 def grassmannian_size(n, p, k):
@@ -389,13 +374,8 @@ def star_table(space: SymplecticSpace, k, _unused=None):
         raise DimensionError("stars need k >= 1")
     index = space.point_index()
     through = through_masks(space, k)
-    table = []
-    for m in grassmannian(space, k - 1).elements:
-        mask = -1
-        for r in m.rows:
-            mask &= through[index[r]]
-        table.append(tuple(bits(mask)))
-    return tuple(table)
+    members = grassmannian(space, k - 1).elements
+    return tuple(tuple(bits(meet(through, map(index.__getitem__, m.rows)))) for m in members)
 
 
 @lru_cache(maxsize=None)
@@ -406,13 +386,7 @@ def hyper_masks(space: SymplecticSpace, k):
     G_k.  This is star_table(space, k, None) inverted, so it needs no row
     reduction; hyperplanes_of gives the same rows geometrically.
     """
-    stars = star_table(space, k, None)
-    masks = [0] * grassmannian_size(space.n, space.p, k)
-    for mi, row in enumerate(stars):
-        bit = 1 << mi
-        for si in row:
-            masks[si] |= bit
-    return tuple(masks)
+    return invert(star_table(space, k, None), grassmannian_size(space.n, space.p, k))
 
 
 def star(space: SymplecticSpace, m: Subspace, k):
@@ -447,10 +421,9 @@ def _union_of_cliques(nverts, cliques):
 @lru_cache(maxsize=None)
 def _adjacency_masks_memo(space, k):
     nverts = grassmannian_size(space.n, space.p, k)
-    return (
-        _union_of_cliques(nverts, star_index_sets(space, k)),
-        _union_of_cliques(nverts, top_index_sets(space, k)),
-    )
+    stars = star_table(space, k, None) if k else (range(nverts),)
+    tops = [tuple(bits(mask)) for mask in hyper_masks(space, k + 1)] if k < space.n - 1 else ()
+    return _union_of_cliques(nverts, stars), _union_of_cliques(nverts, tops)
 
 
 def adjacency_masks(space, k):
@@ -460,7 +433,8 @@ def adjacency_masks(space, k):
     diagonals stay clear.  Two members are adjacent exactly when they
     lie in a common star and ortho-adjacent exactly when they lie in a
     common top, so each row is the union of the cliques through its
-    member, read off star_table with no row reduction.
+    member: the star_table rows (at k = 0, the whole layer) and the bits
+    of the hyper_masks(space, k + 1) rows (none at k = n - 1).
     """
     return _adjacency_masks_memo(space, k)
 
@@ -469,10 +443,10 @@ def maximal_adjacency_cliques(space: SymplecticSpace, k):
     """All maximal cliques of the adjacency graph on G_k, as index sets.
 
     Brute force Bron-Kerbosch with pivoting on bitmask neighbourhoods;
-    gated to the small grid.
+    gated to BASE_GRID.
     """
-    if (space.n, space.p) not in CLIQUE_GRID:
-        raise FeasibilityError(f"clique search supported only for (n, p) in {CLIQUE_GRID}")
+    if (space.n, space.p) not in BASE_GRID:
+        raise FeasibilityError(f"clique search supported only for (n, p) in {BASE_GRID}")
     nverts = len(grassmannian(space, k))
     adj = adjacency_masks(space, k)[0]
     out = []
@@ -498,7 +472,7 @@ def maximal_adjacency_cliques(space: SymplecticSpace, k):
 
 
 def star_index_sets(space, k):
-    """Stars of G_k as index sets (for clique comparison).
+    """Stars of G_k as index sets, for the cliques suite and the tests.
 
     At k = 0 the only star is the one over the zero subspace, which
     is the whole point layer.
@@ -509,7 +483,8 @@ def star_index_sets(space, k):
 
 
 def top_index_sets(space, k):
-    """Tops of G_k as index sets; empty above the top rank.
+    """Tops of G_k as index sets, for the cliques suite and the tests;
+    empty above the top rank.
 
     The top of a member of G_(k+1) is its set of hyperplanes in G_k,
     which is its row of hyper_masks(space, k + 1).

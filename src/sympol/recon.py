@@ -56,7 +56,7 @@ from sympol.grassmann import (
     star_table,
     through_masks,
 )
-from sympol.space import single_bit
+from sympol.space import meet, single_bit
 from sympol.subsets import (
     BaseSubset,
     base_subset_size,
@@ -125,13 +125,11 @@ def induce(h: PointMap, k) -> GrassmannianMap:
     """
     source = grassmannian(h.source, k)
     target = grassmannian(h.target, k)
-    to, through = h.to, through_masks(h.target, k)
+    through = through_masks(h.target, k)
+    pulled = [through[t] for t in h.to]
     table = []
     for s, row in zip(source.elements, member_points(h.source, k)):
-        mask = -1
-        for i in row:
-            mask &= through[to[i]]
-        j = single_bit(mask)
+        j = single_bit(meet(pulled, row))
         if j is None:
             raise MapCheckError("induced image left the layer", witness=s)
         table.append(j)
@@ -158,9 +156,9 @@ def identify_base_subset(space, k, members) -> SymplecticBase:
     else:
         candidates = set()
         for a, b in combinations(members, 2):
-            meet = elements[a].intersect(elements[b])
-            if meet.vdim == 1:
-                candidates.add(meet.rows[0])
+            common = elements[a].intersect(elements[b])
+            if common.vdim == 1:
+                candidates.add(common.rows[0])
     if len(candidates) != space.dim:
         raise RecognitionError("points", f"{len(candidates)} candidate points, expected {space.dim}")
     points = tuple(sorted(candidates))
@@ -317,13 +315,10 @@ def descend(f: GrassmannianMap) -> GrassmannianMap:
     src_low = grassmannian(space, k - 1)
     tgt_low = grassmannian(f.target.space, k - 1)
     hyper = hyper_masks(f.target.space, k)
-    image = f.table
+    pulled = [hyper[j] for j in f.table]
     table = []
     for mi, star in enumerate(star_table(space, k, None)):
-        mask = -1
-        for si in star:
-            mask &= hyper[image[si]]
-        j = single_bit(mask)
+        j = single_bit(meet(pulled, star))
         if j is None:
             raise DescentError(
                 "star images share the wrong dimension", level=k - 1, witness=src_low.elements[mi]

@@ -20,11 +20,10 @@ SUPPORTED_PRIMES = (2, 3, 5)
 # Feasibility grids: hard limits for exhaustive machinery, not suggestions.
 # Grassmannian caches, collineations and map plumbing run on ENUM_GRID.
 # Enumerating every symplectic base is bounded by BASE_GRID, which
-# therefore also gates the exactness oracle and the collineation suites;
-# maximal clique search is bounded by CLIQUE_GRID.
+# therefore also gates the exactness oracle, the collineation suites and
+# maximal clique search, which takes seconds on the (3, 3) lines.
 ENUM_GRID = ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3))
 BASE_GRID = ((2, 2), (2, 3), (3, 2))
-CLIQUE_GRID = ((2, 2), (3, 2))
 
 
 def bits(mask):
@@ -40,6 +39,24 @@ def single_bit(mask):
     if mask > 0 and not mask & (mask - 1):
         return mask.bit_length() - 1
     return None
+
+
+def meet(rows, keys):
+    """The AND of rows[i] over the keys i; -1, every bit set, for no keys."""
+    mask = -1
+    for i in keys:
+        mask &= rows[i]
+    return mask
+
+
+def invert(rows, size):
+    """Per column c < size, the bitmask of the m with c in rows[m]."""
+    masks = [0] * size
+    for m, row in enumerate(rows):
+        bit = 1 << m
+        for c in row:
+            masks[c] |= bit
+    return tuple(masks)
 
 
 def image_mask(mask, table):
@@ -104,10 +121,8 @@ class SymplecticSpace:
         zero at column j are entry j of the zero masks ortho_masks keeps.
         """
         self._check(s)
-        masks, index = self.ortho_masks(), self.point_index()
-        mask = (1 << len(masks)) - 1
-        for r in s.rows:
-            mask &= masks[index[r]]
+        index = self.point_index()
+        mask = meet(self.ortho_masks(), map(index.__getitem__, s.rows))
         p, d = self.p, self.dim
         # the points with lead c: p^(d-1-c) of them, after the
         # (p^(d-1-c) - 1)/(p - 1) points with a later lead

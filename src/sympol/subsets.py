@@ -51,7 +51,7 @@ from sympol.linalg import (
     vec_add,
     vec_scale,
 )
-from sympol.space import SymplecticSpace, bits, single_bit
+from sympol.space import SymplecticSpace, bits, meet, single_bit
 from sympol._kernels import nullspace
 
 
@@ -132,10 +132,7 @@ class BaseSubset:
             rows = [through[index[normalize_point(x, space.p)]] for x in self.base.points]
             out = []
             for positions in self.index_sets:
-                acc = -1
-                for i in positions:
-                    acc &= rows[i]
-                j = single_bit(acc)
+                j = single_bit(meet(rows, positions))
                 if j is None:
                     raise RuntimeError(
                         f"positions {sorted(positions)} span no single member of G_{self.k}"
@@ -205,7 +202,7 @@ def certify_inexact(bs: BaseSubset, collection):
     if witness is None:
         return None
     i, j = witness
-    other = perturb_pair(bs.base, i, j, 1)
+    other = perturb_pair(bs.base, i, j)
     cover = BaseSubset(other, bs.k)
     covered = {cover.subspace(t).rows for t in cover.index_sets}
     for index_set in collection:
@@ -472,9 +469,8 @@ def covering_bases(bs: BaseSubset, collection):
     space = bs.base.space
     columns = base_columns(space)
     covers = universe_columns(space, bs.k)
-    hits = (1 << len(columns[0])) - 1
-    for m in bits(member_mask(bs, collection)):
-        hits &= covers[m]
+    # meet is -1 over an empty collection, so keep only real bases
+    hits = meet(covers, bits(member_mask(bs, collection))) & ((1 << len(columns[0])) - 1)
     return tuple(
         base_from_row(space, [column[b] for column in columns]) for b in islice(bits(hits), 2)
     )

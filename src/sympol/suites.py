@@ -38,7 +38,7 @@ from sympol.recon import (
     induce,
     reconstruct,
 )
-from sympol.space import BASE_GRID, CLIQUE_GRID, ENUM_GRID, SymplecticSpace, image_mask
+from sympol.space import BASE_GRID, ENUM_GRID, SymplecticSpace, image_mask
 from sympol.subsets import (
     BaseSubset,
     base_subset_size,
@@ -588,7 +588,7 @@ def run_negative_controls(space, cfg, trials, rng):
     "cliques",
     "maximal adjacency cliques are the whole layer at k = 0, the stars and tops "
     "for 0 < k < n-1, and the stars at k = n-1",
-    grid=CLIQUE_GRID,
+    grid=BASE_GRID,
 )
 def run_cliques(space, cfg, trials, rng):
     for k in _layers(cfg):

@@ -245,7 +245,7 @@ def test_reconstruction_round_trip(n, p):
 
 @pytest.mark.criterion(8, "maximal cliques are stars and tops")
 def test_cliques_upper_layers():
-    checks = (((2, 2), 1), ((3, 2), 1), ((3, 2), 2))
+    checks = (((2, 2), 1), ((2, 3), 1), ((3, 2), 1), ((3, 2), 2))
     for (n, p), k in checks:
         sp = SymplecticSpace.standard(n, p)
         cliques = {frozenset(c) for c in maximal_adjacency_cliques(sp, k)}

@@ -90,16 +90,14 @@ def test_perturb_pair(small_space):
         for j in range(sp.dim):
             if j in (i, base.sigma[i]):
                 continue
-            moved = perturb_pair(base, i, j, 1)
+            moved = perturb_pair(base, i, j)
             assert moved != base
             assert moved.sigma == base.sigma
             # exactly the two agreed positions move
             changed = [t for t in range(sp.dim) if moved.points[t] != base.points[t]]
             assert sorted(changed) == sorted((i, base.sigma[j]))
     with pytest.raises(DegenerateParameterError):
-        perturb_pair(base, 0, base.sigma[0], 1)
-    with pytest.raises(DegenerateParameterError):
-        perturb_pair(base, 0, 1, 0)
+        perturb_pair(base, 0, base.sigma[0])
 
 
 def test_random_base_is_collineation_image(small_space):

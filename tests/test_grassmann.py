@@ -423,7 +423,7 @@ def test_adjacency_masks_agree(small_space):
                 assert bool(adj[j] >> i & 1) == a
 
 
-@pytest.mark.parametrize("n,p", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("n,p", BASE_GRID)
 def test_cliques_are_stars_and_tops(n, p):
     sp = SymplecticSpace.standard(n, p)
     for k in layers(sp):

@@ -38,7 +38,7 @@ from sympol.recon import (
     induce,
     reconstruct,
 )
-from sympol.space import BASE_GRID, ENUM_GRID, SymplecticSpace
+from sympol.space import ENUM_GRID, SymplecticSpace
 from sympol.subsets import BaseSubset, maximal_inexact_families
 
 
@@ -443,12 +443,7 @@ def orthogonality_witness_reference(h):
     return None
 
 
-# De-duplicated in order, so (2, 5) or (3, 3) joining BASE_GRID keeps the
-# ids unique.
-WITNESS_GRID = tuple(dict.fromkeys(BASE_GRID + ((2, 5), (3, 3))))
-
-
-@pytest.mark.parametrize("n,p", WITNESS_GRID, ids=[f"n{n}p{p}" for n, p in WITNESS_GRID])
+@pytest.mark.parametrize("n,p", ENUM_GRID, ids=[f"n{n}p{p}" for n, p in ENUM_GRID])
 def test_orthogonality_witness(n, p):
     # Swaps at the front, the back and the middle of the point order, one
     # of the standard hyperbolic pair, and one after a collineation, so the

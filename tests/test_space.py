@@ -6,7 +6,7 @@ from sympol import _kernels
 from sympol.errors import DimensionError, FeasibilityError
 from sympol.grassmann import grassmannian
 from sympol.linalg import Subspace
-from sympol.space import ENUM_GRID, SymplecticSpace, single_bit
+from sympol.space import ENUM_GRID, SymplecticSpace, invert, meet, single_bit
 
 
 def unit(dim, i):
@@ -19,6 +19,17 @@ def test_single_bit():
     assert single_bit(0) is None
     assert single_bit(-1) is None
     assert single_bit((1 << 70) | 1) is None
+
+
+def test_meet_and_invert():
+    rows = (0b1110, 0b0111, 0b1011, 0b1101)
+    assert meet(rows, []) == -1
+    assert meet(rows, [0]) == 0b1110
+    assert meet(rows, (0, 1)) == 0b0110
+    assert meet(rows, range(4)) == 0
+    table = ((1, 2, 3), (0, 1, 2), (0, 1, 3), ())
+    assert invert(table, 5) == (0b0110, 0b0111, 0b0011, 0b0101, 0)
+    assert invert((), 2) == (0, 0)
 
 
 def test_unsupported_parameters_rejected():

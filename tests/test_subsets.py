@@ -197,7 +197,7 @@ def test_certify_inexact_rejects_a_base_that_fails_to_cover(monkeypatch):
         for _, members in maximal_inexact_families(bs)
         if inexactness_witness(bs, members) is not None
     )
-    monkeypatch.setattr(subsets, "perturb_pair", lambda base, i, j, c: random_base(sp, "stranger"))
+    monkeypatch.setattr(subsets, "perturb_pair", lambda base, i, j: random_base(sp, "stranger"))
     with pytest.raises(RuntimeError, match="witness base fails to cover the collection"):
         certify_inexact(bs, collection)
 
@@ -217,7 +217,7 @@ def test_certify_inexact_builds_no_layer(monkeypatch, tmp_path):
         if inexactness_witness(bs, members) is not None
     )
     i, j, base = certify_inexact(bs, collection)
-    assert base == perturb_pair(bs.base, i, j, 1)
+    assert base == perturb_pair(bs.base, i, j)
     assert not any(tmp_path.iterdir())
 
 
